@@ -373,10 +373,10 @@ func TestCycleLoopAllocs(t *testing.T) {
 // BenchmarkCoreCycleLoopMemBound is BenchmarkCoreCycleLoop on an mcf-class
 // DRAM-bound pointer chaser — the workload category where the cycle loop
 // used to spin through hundreds of empty iterations per head-of-window
-// miss, and where idle-cycle elision therefore pays most. Run it with
-// -tags ooo_noskip to measure the ticking path; the default build must be
-// ≥1.5× its inst/s (fvpbench records both in BENCH_core.json). skip_ratio
-// reports the fraction of simulated cycles covered by clock jumps.
+// miss, and where idle-cycle elision therefore pays most. The elided loop
+// must be ≥1.5× the inst/s of the ticking one (ooo.Config.DisableIdleElision;
+// fvpbench records both in BENCH_core.json). skip_ratio reports the
+// fraction of simulated cycles covered by clock jumps.
 func BenchmarkCoreCycleLoopMemBound(b *testing.B) {
 	const instsPerOp = 20_000 // mcf-class IPC is ~0.08: ~250k cycles per op
 	w, _ := workload.ByName("mcf-17")

@@ -490,7 +490,6 @@ func measureService(batched bool, clients, requests int) ServiceBench {
 		ccfg := cluster.Config{Service: nil, Self: id, Peers: peers}
 		if batched {
 			cfg.BatchWindow, cfg.BatchMax = svcBatchWindow, svcBatchMax
-			ccfg.BatchWindow, ccfg.BatchMax = svcBatchWindow, svcBatchMax
 		}
 		svc := simd.New(cfg)
 		defer svc.Close()

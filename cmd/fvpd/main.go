@@ -36,9 +36,8 @@
 // GET /v1/runs/{id} (status, result, and live progress),
 // DELETE /v1/runs/{id}, GET /v1/workloads, GET /v1/predictors,
 // GET /v1/cluster (ring membership and peer health),
-// GET /v1/metrics (Prometheus text), GET /healthz. The pre-versioning
-// unversioned paths still answer, with a Deprecation header. With -pprof
-// the Go profiling handlers are additionally served under /debug/pprof/.
+// GET /v1/metrics (Prometheus text), GET /healthz. With -pprof the Go
+// profiling handlers are additionally served under /debug/pprof/.
 package main
 
 import (
@@ -128,7 +127,6 @@ func main() {
 	node, err := cluster.New(cluster.Config{
 		Service: svc, Self: *nodeID, Peers: peers,
 		Replicas: *replicas, ReplicateAfter: *replAfter,
-		BatchWindow: *batchWin, BatchMax: *batchMax,
 	})
 	if err != nil {
 		svc.Close()

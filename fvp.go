@@ -522,7 +522,7 @@ type Metrics struct {
 	// ticking, in SkipEvents jumps — a simulator-speed meter, not a machine
 	// property: skipped cycles are fully accounted in Cycles and
 	// CycleBreakdown, and both fields are 0 when idle-cycle elision is off
-	// (-tags ooo_noskip or ooo.Config.DisableIdleElision).
+	// (ooo.Config.DisableIdleElision).
 	SkippedCycles uint64 `json:"skipped_cycles"`
 	SkipEvents    uint64 `json:"skip_events"`
 	// WarmupMode records which warmup path produced the run ("detailed"
@@ -873,22 +873,6 @@ func CompareSuiteContext(ctx context.Context, spec SuiteSpec) ([]Comparison, err
 		}
 	}
 	return out, nil
-}
-
-// CompareSuite runs baseline and predictor over every workload (in
-// parallel) and returns per-workload comparisons in study-list order.
-//
-// Deprecated: Use CompareSuiteContext, which takes a SuiteSpec (self-
-// describing fields instead of four positional numbers) and supports
-// cancellation and workload subsets. This wrapper remains for source
-// compatibility.
-func CompareSuite(machine Machine, pred Predictor, warmup, measure uint64) ([]Comparison, error) {
-	return CompareSuiteContext(context.Background(), SuiteSpec{
-		Machine:      machine,
-		Predictor:    pred,
-		WarmupInsts:  warmup,
-		MeasureInsts: measure,
-	})
 }
 
 // Geomean returns the geometric-mean speedup of comparisons.

@@ -15,6 +15,7 @@ import (
 
 	"fvp"
 	"fvp/internal/simd"
+	"fvp/internal/store"
 )
 
 func TestRingDeterministicAndCovering(t *testing.T) {
@@ -74,6 +75,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 	t.Helper()
+	return newTestClusterWith(t, n, nil, mut)
+}
+
+// newTestClusterWith is newTestCluster with a hook on every node's
+// service config as well.
+func newTestClusterWith(t *testing.T, n int, svcMut func(*simd.Config), mut func(*Config)) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		svcs:  make(map[string]*simd.Service),
 		nodes: make(map[string]*Node),
@@ -93,7 +101,7 @@ func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 	}
 	for _, id := range tc.ids {
 		id := id
-		svc := simd.New(simd.Config{
+		scfg := simd.Config{
 			Workers: 2, QueueSize: 16, NodeID: id,
 			Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
 				tc.runs[id].Add(1)
@@ -106,7 +114,11 @@ func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 				}
 				return fvp.Metrics{IPC: 1, Cycles: 100, Insts: 100}, nil
 			},
-		})
+		}
+		if svcMut != nil {
+			svcMut(&scfg)
+		}
+		svc := simd.New(scfg)
 		cfg := Config{
 			Service: svc, Self: id, Peers: peers,
 			RetryBackoff: time.Millisecond, ForwardTimeout: 2 * time.Second,
@@ -541,5 +553,118 @@ func TestQuotaRejectionPropagates(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Fvpd-Tenant"); got != "flood" {
 		t.Errorf("forwarded 429 X-Fvpd-Tenant = %q", got)
+	}
+}
+
+// batchCountingJobs counts AppendBatch calls: one per admission
+// transaction, however many records it carries.
+type batchCountingJobs struct {
+	store.JobStore
+	batches atomic.Int64
+}
+
+func (c *batchCountingJobs) AppendBatch(recs []store.JobRecord) error {
+	c.batches.Add(1)
+	return c.JobStore.AppendBatch(recs)
+}
+
+// TestSelfOwnedSubmitsCoalesce: on a clustered node, groups the node owns
+// itself go through the service's edge micro-batcher like any other
+// submit — N concurrent self-owned submits make one JobStore append and
+// one fvpd_batch_size observation of N.
+func TestSelfOwnedSubmitsCoalesce(t *testing.T) {
+	const n = 4
+	jobs := make(map[string]*batchCountingJobs)
+	tc := newTestClusterWith(t, 2, func(c *simd.Config) {
+		// Only the BatchMax trigger can flush: the window is never waited
+		// out, so the merge is deterministic.
+		c.BatchWindow, c.BatchMax = time.Minute, n
+		jobs[c.NodeID] = &batchCountingJobs{JobStore: store.NewMemoryJobStore()}
+		c.Stores.Jobs = jobs[c.NodeID]
+	}, nil)
+
+	self := tc.ids[0]
+	var insts []int
+	for next := 60000; len(insts) < n; next++ {
+		if tc.nodes[self].Owner(simd.SpecKey(specFor(next))) == self {
+			insts = append(insts, next)
+		}
+	}
+	var wg sync.WaitGroup
+	codes := make([]int, n)
+	for i := range insts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _ := postBody(t, tc.srvs[self].URL+"/v1/runs", specBody(insts[i], ""))
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d", i, code)
+		}
+	}
+	if got := jobs[self].batches.Load(); got != 1 {
+		t.Errorf("%d JobStore appends for %d self-owned submits, want 1", got, n)
+	}
+	if got := tc.forwardedFrom(self); got != 0 {
+		t.Errorf("%d forwards for self-owned specs", got)
+	}
+	mresp, err := http.Get(tc.srvs[self].URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	body, _ := io.ReadAll(mresp.Body)
+	for _, want := range []string{"fvpd_batch_size_count 1\n", fmt.Sprintf("fvpd_batch_size_sum %d\n", n)} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("exposition missing %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// TestUnversionedRoutesGone: only the /v1 surface is served — the
+// pre-versioning paths answer 404 on a single node and on a cluster
+// alike, whether the request is routed by the cluster layer or falls
+// through to the service.
+func TestUnversionedRoutesGone(t *testing.T) {
+	svc := simd.New(simd.Config{Workers: 1, Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
+		return fvp.Metrics{IPC: 1}, nil
+	}})
+	defer svc.Close()
+	single, err := New(Config{Service: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(single.Handler())
+	defer srv.Close()
+	tc := newTestCluster(t, 2, nil)
+
+	for _, base := range []struct{ name, url string }{
+		{"single", srv.URL},
+		{"cluster", tc.srvs[tc.ids[0]].URL},
+	} {
+		for _, rt := range []struct{ method, path string }{
+			{http.MethodPost, "/runs"},
+			{http.MethodGet, "/runs"},
+			{http.MethodGet, "/runs/node1.j-00000001"},
+			{http.MethodGet, "/metrics"},
+			{http.MethodGet, "/workloads"},
+		} {
+			req, err := http.NewRequest(rt.method, base.url+rt.path, strings.NewReader(specBody(1000, "")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s: %s %s = HTTP %d, want 404", base.name, rt.method, rt.path, resp.StatusCode)
+			}
+		}
 	}
 }

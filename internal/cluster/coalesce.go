@@ -2,67 +2,46 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
-	"time"
 
+	"fvp/internal/coalesce"
 	"fvp/internal/simd"
 )
 
 // fwdBatcher coalesces concurrent forwards headed to one peer: groups
-// arriving within Config.BatchWindow (or until BatchMax requests pend)
-// are merged into a single {"runs":[...]} POST, so a flood of
-// single-spec submits through a non-owner costs the owner one HTTP
+// arriving within the service's batch window (or until its batch max
+// requests pend) are merged into a single {"runs":[...]} POST, so a flood
+// of single-spec submits through a non-owner costs the owner one HTTP
 // round trip per window instead of one per request. Wait-mode and
 // fire-and-forget traffic batch separately — their response timing
 // differs by design — hence one batcher per (peer, wait) pair.
-//
-// Like the service's edge batcher, merging is transparent: a merged
-// batch refused as a unit (one rider's quota, one malformed spec) is
-// re-forwarded per group so each caller gets its own verdict.
-type fwdBatcher struct {
-	n    *Node
-	p    *peer
-	wait bool
+type fwdBatcher = coalesce.Batcher[simd.RunRequest, simd.JobStatus]
 
-	mu      sync.Mutex
-	pending []*fwdGroup
-	nreq    int
-	timer   *time.Timer
-}
+// refusal carries a peer's non-2xx answer through the coalescer as an
+// error. A merged batch the peer refused as a unit (one rider's quota,
+// one malformed spec) is re-forwarded per group so each caller gets its
+// own verdict; a transport failure goes back to every rider unretried,
+// and each caller's handleSubmit falls back to local execution.
+type refusal struct{ out *submitOutcome }
 
-// fwdGroup is one handleSubmit owner-group riding a merged forward.
-type fwdGroup struct {
-	reqs []simd.RunRequest
-	ch   chan fwdResult
-}
-
-// fwdResult mirrors forwardSubmit's three-way outcome.
-type fwdResult struct {
-	statuses []simd.JobStatus
-	errResp  *submitOutcome
-	err      error
-}
+func (r *refusal) Error() string { return fmt.Sprintf("cluster: peer answered HTTP %d", r.out.code) }
 
 // forward routes one owner group to its peer, through the coalescer
-// when one is configured. ctx only gates this caller's wait — the
+// when the service batches. ctx only gates this caller's wait — the
 // merged round trip itself runs on the background context, because the
 // riders belong to different client connections and one hangup must not
 // cancel the rest.
 func (n *Node) forward(ctx context.Context, owner string, reqs []simd.RunRequest, wait bool) ([]simd.JobStatus, *submitOutcome, error) {
-	p := n.peers[owner]
-	if n.cfg.BatchWindow <= 0 {
-		return n.forwardSubmit(ctx, p, reqs, wait)
+	if window, _ := n.svc.Batching(); window <= 0 {
+		return n.forwardSubmit(ctx, n.peers[owner], reqs, wait)
 	}
-	b := n.fwdFor(owner, wait)
-	g := &fwdGroup{reqs: reqs, ch: make(chan fwdResult, 1)}
-	b.add(g)
-	select {
-	case r := <-g.ch:
-		return r.statuses, r.errResp, r.err
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
+	sts, err := n.fwdFor(owner, wait).Do(ctx, reqs)
+	var ref *refusal
+	if errors.As(err, &ref) {
+		return nil, ref.out, nil
 	}
+	return sts, nil, err
 }
 
 func (n *Node) fwdFor(owner string, wait bool) *fwdBatcher {
@@ -71,88 +50,27 @@ func (n *Node) fwdFor(owner string, wait bool) *fwdBatcher {
 		key += "?wait"
 	}
 	n.fwdMu.Lock()
+	defer n.fwdMu.Unlock()
 	b := n.fwd[key]
 	if b == nil {
-		b = &fwdBatcher{n: n, p: n.peers[owner], wait: wait}
+		p := n.peers[owner]
+		window, max := n.svc.Batching()
+		b = &fwdBatcher{
+			Window: window,
+			Max:    max,
+			Submit: func(reqs []simd.RunRequest) ([]simd.JobStatus, error) {
+				sts, out, err := n.forwardSubmit(context.Background(), p, reqs, wait)
+				if out != nil {
+					return nil, &refusal{out}
+				}
+				return sts, err
+			},
+			Split: func(err error) bool {
+				var ref *refusal
+				return errors.As(err, &ref)
+			},
+		}
 		n.fwd[key] = b
 	}
-	n.fwdMu.Unlock()
 	return b
-}
-
-func (b *fwdBatcher) add(g *fwdGroup) {
-	b.mu.Lock()
-	b.pending = append(b.pending, g)
-	b.nreq += len(g.reqs)
-	var groups []*fwdGroup
-	if b.nreq >= b.n.cfg.BatchMax {
-		groups = b.takeLocked()
-	} else if len(b.pending) == 1 {
-		b.timer = time.AfterFunc(b.n.cfg.BatchWindow, b.flushTimer)
-	}
-	b.mu.Unlock()
-	b.flush(groups)
-}
-
-func (b *fwdBatcher) takeLocked() []*fwdGroup {
-	groups := b.pending
-	b.pending = nil
-	b.nreq = 0
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return groups
-}
-
-func (b *fwdBatcher) flushTimer() {
-	b.mu.Lock()
-	groups := b.takeLocked()
-	b.mu.Unlock()
-	b.flush(groups)
-}
-
-func (b *fwdBatcher) flush(groups []*fwdGroup) {
-	if len(groups) == 0 {
-		return
-	}
-	if len(groups) == 1 {
-		g := groups[0]
-		sts, errResp, err := b.n.forwardSubmit(context.Background(), b.p, g.reqs, b.wait)
-		g.ch <- fwdResult{sts, errResp, err}
-		return
-	}
-	total := 0
-	for _, g := range groups {
-		total += len(g.reqs)
-	}
-	merged := make([]simd.RunRequest, 0, total)
-	for _, g := range groups {
-		merged = append(merged, g.reqs...)
-	}
-	sts, errResp, err := b.n.forwardSubmit(context.Background(), b.p, merged, b.wait)
-	if err == nil && errResp == nil && len(sts) != total {
-		err = fmt.Errorf("cluster: peer %s answered %d statuses for %d merged runs", b.p.id, len(sts), total)
-	}
-	switch {
-	case err != nil:
-		// Transport failure: every rider falls back on its own (each
-		// caller's handleSubmit runs the group locally).
-		for _, g := range groups {
-			g.ch <- fwdResult{err: err}
-		}
-	case errResp != nil:
-		// The peer refused the merged batch as a unit. Re-forward each
-		// group alone so one rider's rejection doesn't poison the rest.
-		for _, g := range groups {
-			sts, errResp, err := b.n.forwardSubmit(context.Background(), b.p, g.reqs, b.wait)
-			g.ch <- fwdResult{sts, errResp, err}
-		}
-	default:
-		off := 0
-		for _, g := range groups {
-			g.ch <- fwdResult{statuses: sts[off : off+len(g.reqs)]}
-			off += len(g.reqs)
-		}
-	}
 }

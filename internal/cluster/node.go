@@ -71,13 +71,6 @@ type Config struct {
 	// to its successors once the owner has seen this many submits for it.
 	// Default 3.
 	ReplicateAfter int
-	// BatchWindow enables forward coalescing: owner groups headed to the
-	// same peer within one window merge into a single forwarded POST.
-	// 0 (the default) forwards each group immediately.
-	BatchWindow time.Duration
-	// BatchMax caps the requests merged into one forwarded POST; a full
-	// window flushes early. Default 256.
-	BatchMax int
 }
 
 // ParsePeers parses the -peers flag: "id=url,id=url,...". Every node in
@@ -129,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplicateAfter <= 0 {
 		c.ReplicateAfter = 3
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 256
-	}
 	return c
 }
 
@@ -154,7 +144,7 @@ type Node struct {
 	fwdHist *telemetry.Vec
 
 	// fwd holds the per-(peer, wait-mode) forward coalescers, created on
-	// first use; empty unless Config.BatchWindow > 0.
+	// first use; empty unless the service batches (simd.Config.BatchWindow).
 	fwdMu sync.Mutex
 	fwd   map[string]*fwdBatcher
 }
@@ -228,14 +218,11 @@ func (n *Node) Handler() http.Handler {
 		return mux
 	}
 	mux.HandleFunc("POST /v1/runs", n.handleSubmit)
-	mux.HandleFunc("POST /runs", n.handleSubmit)
 	mux.HandleFunc("PUT /v1/replicas/{key}", n.handleReplicaPut)
 	byID := func(pattern string) { mux.HandleFunc(pattern, n.handleByID) }
 	byID("GET /v1/runs/{id}")
 	byID("GET /v1/runs/{id}/trace")
 	byID("DELETE /v1/runs/{id}")
-	byID("GET /runs/{id}")
-	byID("DELETE /runs/{id}")
 	mux.Handle("/", n.inner)
 	return mux
 }
@@ -332,12 +319,6 @@ type submitOutcome struct {
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/runs" {
-		// The legacy unversioned alias keeps its deprecation signal even
-		// when the cluster layer answers instead of the service.
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/runs>; rel="successor-version"`)
-	}
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err)
@@ -428,7 +409,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		mu.Unlock()
 	}
 	runLocal := func(g *group) {
-		statuses, err := n.svc.SubmitBatch(g.reqs)
+		statuses, err := n.svc.SubmitBatched(g.reqs)
 		if err != nil {
 			fail(submitOutcome{err: err})
 			return
@@ -628,7 +609,7 @@ func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		defer resp.Body.Close()
-		for _, k := range []string{"Content-Type", "Retry-After", "Deprecation", "Link"} {
+		for _, k := range []string{"Content-Type", "Retry-After"} {
 			if v := resp.Header.Get(k); v != "" {
 				w.Header().Set(k, v)
 			}

@@ -192,14 +192,15 @@ func TestReplicaConsistencyUnderRace(t *testing.T) {
 // TestForwardCoalescing: concurrent submits through a non-owner that
 // target the same peer merge into one forwarded POST — BatchMax riders,
 // a single HTTP round trip, every caller getting its own status back.
+// The forward coalescer takes its window from the service it fronts.
 func TestForwardCoalescing(t *testing.T) {
 	const riders = 4
-	tc := newTestCluster(t, 2, func(c *Config) {
+	tc := newTestClusterWith(t, 2, func(c *simd.Config) {
 		// Only the BatchMax trigger can flush: the window is never
 		// waited out, so the merge is deterministic.
 		c.BatchWindow = time.Minute
 		c.BatchMax = riders
-	})
+	}, nil)
 
 	// Four distinct specs owned by the same (remote) node.
 	owner, via := tc.ownerAndOther(t, 50000)

@@ -30,7 +30,7 @@ type ReportRecord struct {
 	// Simulator-speed meters of the predictor run: how many of its cycles
 	// were idle-elided (clock-jumped) and what fraction of all cycles that
 	// is. High SkipRatio = memory-bound workload the fast path accelerates
-	// most; 0 under -tags ooo_noskip.
+	// most; 0 under ooo.Config.DisableIdleElision.
 	SkippedCycles uint64  `json:"skipped_cycles"`
 	SkipRatio     float64 `json:"skip_ratio"`
 

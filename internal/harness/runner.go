@@ -141,7 +141,7 @@ type Result struct {
 	FFSeconds float64
 	// Regions holds the per-region results of a region-parallel run
 	// (nil when Options.Regions <= 1).
-	Regions []RegionResult
+	Regions []UnitResult
 	// Sampling holds the statistical summary of a sampled run
 	// (nil when Options.Sampling is disabled).
 	Sampling *SamplingReport
@@ -257,6 +257,33 @@ func statsDelta(a, b ooo.RunStats) ooo.RunStats {
 	return d
 }
 
+// statsAdd sums snapshots field-wise (the inverse pairing of statsDelta).
+func statsAdd(a, b ooo.RunStats) ooo.RunStats {
+	d := a
+	d.Cycles += b.Cycles
+	d.Retired += b.Retired
+	d.RetiredLoads += b.RetiredLoads
+	d.RetiredStores += b.RetiredStores
+	d.Fetched += b.Fetched
+	d.BranchMispredicts += b.BranchMispredicts
+	d.VPFlushes += b.VPFlushes
+	d.MemOrderFlushes += b.MemOrderFlushes
+	d.Forwards += b.Forwards
+	d.RetireStallCycles += b.RetireStallCycles
+	d.EmptyWindowCycles += b.EmptyWindowCycles
+	for i := range d.LoadsByLevel {
+		d.LoadsByLevel[i] += b.LoadsByLevel[i]
+	}
+	d.StallHeadLoads += b.StallHeadLoads
+	d.StallHeadOther += b.StallHeadOther
+	d.SkippedCycles += b.SkippedCycles
+	d.SkipEvents += b.SkipEvents
+	for i := range d.Breakdown {
+		d.Breakdown[i] += b.Breakdown[i]
+	}
+	return d
+}
+
 func meterDelta(a, b vp.Meter) vp.Meter {
 	return vp.Meter{
 		Loads:          b.Loads - a.Loads,
@@ -266,6 +293,18 @@ func meterDelta(a, b vp.Meter) vp.Meter {
 		Correct:        b.Correct - a.Correct,
 		Wrong:          b.Wrong - a.Wrong,
 		Flushes:        b.Flushes - a.Flushes,
+	}
+}
+
+func meterAdd(a, b vp.Meter) vp.Meter {
+	return vp.Meter{
+		Loads:          a.Loads + b.Loads,
+		Insts:          a.Insts + b.Insts,
+		PredictedLoads: a.PredictedLoads + b.PredictedLoads,
+		PredictedOther: a.PredictedOther + b.PredictedOther,
+		Correct:        a.Correct + b.Correct,
+		Wrong:          a.Wrong + b.Wrong,
+		Flushes:        a.Flushes + b.Flushes,
 	}
 }
 
@@ -284,32 +323,32 @@ func RunOneCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf 
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opt.Sampling.enabled() {
-		return runSampledCtx(ctx, w, coreCfg, pf, opt)
-	}
-	if opt.regionCount() > 1 {
-		return runRegionsCtx(ctx, w, coreCfg, pf, opt)
+	if opt.Sampling.enabled() || opt.regionCount() > 1 {
+		return runCheckpointedCtx(ctx, w, coreCfg, pf, opt)
 	}
 	p := w.Build()
 	ex := prog.NewExec(p)
 	var pred vp.Predictor
+	name := "baseline"
 	if pf != nil {
 		pred = pf()
+		name = pred.Name()
 	}
 	seg, err := runSegmentCtx(ctx, coreCfg, pred, ex, p.BuildMemory(), p.WarmRanges, opt, opt.MeasureInsts)
 	if err != nil {
 		return Result{}, err
 	}
-	name := "baseline"
-	if pred != nil {
-		name = pred.Name()
-	}
+	return newResult(w, coreCfg, name, opt.warmupMode(), seg), nil
+}
+
+// newResult assembles the Result of one run from its measured segment.
+func newResult(w workload.Workload, coreCfg ooo.Config, pred string, mode WarmupMode, seg segment) Result {
 	return Result{
 		Workload:   w.Name,
 		Category:   w.Category,
 		Core:       coreCfg.Name,
-		Predictor:  name,
-		WarmupMode: opt.warmupMode(),
+		Predictor:  pred,
+		WarmupMode: mode,
 		IPC:        seg.stats.IPC(),
 		Coverage:   seg.meter.Coverage(),
 		Accuracy:   seg.meter.Accuracy(),
@@ -317,7 +356,7 @@ func RunOneCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf 
 		Meter:      seg.meter,
 		FFInsts:    seg.ffInsts,
 		FFSeconds:  seg.ffSeconds,
-	}, nil
+	}
 }
 
 // segment is the measured outcome of one (warmup, measure) slice on one
@@ -332,8 +371,8 @@ type segment struct {
 // runSegmentCtx simulates one contiguous (warmup, measure) slice: it
 // acquires a core over ex (whose architectural memory image is mem), warms
 // caches and then the machine per opt.WarmupMode, and measures measure
-// instructions. It is the shared engine of the single-region path and each
-// region of a region-parallel run.
+// instructions. It is the shared engine of the monolithic path and each
+// unit of a checkpointed run.
 func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, ex *prog.Exec, mem *prog.Memory, warmRanges []prog.WarmRange, opt Options, measure uint64) (segment, error) {
 	var c *ooo.Core
 	if opt.ReuseCores {

@@ -86,8 +86,9 @@ func (s Sampling) warmupInsts() uint64 {
 	return s.WarmupInsts
 }
 
-// SampleUnitResult is the measured outcome of one detailed sample unit.
-type SampleUnitResult struct {
+// UnitResult is the measured outcome of one checkpointed unit: a sample
+// unit of a sampled run or a region of a region-parallel run.
+type UnitResult struct {
 	// Index is the unit's plan position.
 	Index int
 	// StartSeq is the absolute dynamic-instruction position of the unit's
@@ -133,139 +134,161 @@ type SamplingReport struct {
 	Coverage sample.Metric
 	Accuracy sample.Metric
 	// Units holds the final round's per-unit results, in plan order.
-	Units []SampleUnitResult
+	Units []UnitResult
 }
 
-// runSampledCtx is the sampled path of RunOneCtx: one architectural pass
-// over the program takes a checkpoint at each planned unit's warmup start;
-// each unit is then restored, functionally warmed (with the standard
-// detailed tail) and detail-simulated on its own core, concurrently up to
-// RegionWorkers; the per-unit stats are stitched and estimated. When
-// TargetCI is set, sample.AutoTune re-plans with a doubled unit count
-// until the IPC interval meets the target.
-func runSampledCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) (Result, error) {
-	sp := opt.Sampling
-	p := w.Build()
+// unitPlan is one round of the checkpointed-unit executor: the measured
+// units, as offsets into the measured region, and how each is warmed.
+type unitPlan struct {
+	units []sample.Unit
+	// warmup is the per-unit warmup window, clamped at the stream start.
+	warmup uint64
+	mode   WarmupMode
+}
 
+// regionPlan covers the measured region with Options.Regions contiguous
+// units, the remainder going to the last, each warmed like the run
+// itself. Their measured slices are consecutive and their union is
+// exactly the monolithic run's measured span [W, W+M).
+func regionPlan(opt Options) unitPlan {
+	k := opt.regionCount()
+	step := opt.MeasureInsts / uint64(k) // Validate guarantees step >= 1.
+	units := make([]sample.Unit, k)
+	for i := range units {
+		units[i] = sample.Unit{Index: i, Start: uint64(i) * step, Len: step}
+	}
+	units[k-1].Len = opt.MeasureInsts - step*uint64(k-1)
+	return unitPlan{units: units, warmup: opt.WarmupInsts, mode: opt.warmupMode()}
+}
+
+// unitRound is one executed plan: the per-unit rows in plan order and
+// their stitch, whose fast-forward counts include the checkpoint scan.
+type unitRound struct {
+	units []UnitResult
+	total segment
+	pred  string
+}
+
+// runCheckpointedCtx is the checkpointed-unit path of RunOneCtx, shared by
+// region-parallel and sampled runs: one architectural pass over the
+// program checkpoints each unit's warmup start; each unit is then
+// restored, warmed and detail-simulated on its own core, concurrently up
+// to RegionWorkers, and the per-unit stats are stitched by field-wise
+// addition. Stitching is exact for additive counters, so the aggregate
+// IPC is the instruction-weighted mean of the unit IPCs.
+//
+// A region run executes one full-coverage plan (regionPlan). A sampled
+// run plans systematic units, warms each functionally, and when TargetCI
+// is set lets sample.AutoTune re-plan with a doubled unit count until the
+// IPC interval meets the target; its Result carries a SamplingReport.
+func runCheckpointedCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) (Result, error) {
+	p := w.Build()
+	if !opt.Sampling.enabled() {
+		plan := regionPlan(opt)
+		rd, err := runUnits(ctx, p, coreCfg, pf, opt, plan)
+		if err != nil {
+			return Result{}, err
+		}
+		r := newResult(w, coreCfg, rd.pred, plan.mode, rd.total)
+		r.Regions = rd.units
+		return r, nil
+	}
+
+	sp := opt.Sampling
 	var (
-		units     []SampleUnitResult
+		last      unitRound
 		ffInsts   uint64
 		ffSeconds float64
 	)
 	round := func(plan sample.Plan) ([]float64, error) {
-		rs, scanInsts, scanSeconds, err := runSampleRound(ctx, p, coreCfg, pf, opt, plan)
+		// Sampled units always warm through the functional taps, whatever
+		// the run-level warmup mode; the Result records the path that ran.
+		rd, err := runUnits(ctx, p, coreCfg, pf, opt, unitPlan{
+			units: plan.Units, warmup: sp.warmupInsts(), mode: WarmupFunctional,
+		})
 		if err != nil {
 			return nil, err
 		}
-		units = rs
-		ffInsts += scanInsts
-		ffSeconds += scanSeconds
-		values := make([]float64, len(rs))
-		for i, u := range rs {
+		last = rd
+		ffInsts += rd.total.ffInsts
+		ffSeconds += rd.total.ffSeconds
+		values := make([]float64, len(rd.units))
+		for i, u := range rd.units {
 			values[i] = u.IPC
-			ffInsts += u.FFInsts
-			ffSeconds += u.FFSeconds
 		}
 		return values, nil
 	}
-
-	cfg := sample.Config{
+	out, err := sample.AutoTune(sample.Config{
 		MeasureInsts: opt.MeasureInsts,
 		Units:        sp.units(),
 		UnitInsts:    sp.unitInsts(),
 		Seed:         sp.Seed,
-	}
-	out, err := sample.AutoTune(cfg, sp.TargetCI, sp.MaxUnits, round)
+	}, sp.TargetCI, sp.MaxUnits, round)
 	if err != nil {
 		return Result{}, err
 	}
 
-	var st ooo.RunStats
-	var mt vp.Meter
-	coverage := make([]float64, len(units))
-	accuracy := make([]float64, len(units))
-	for i := range units {
-		st = statsAdd(st, units[i].Stats)
-		mt = meterAdd(mt, units[i].Meter)
-		coverage[i] = units[i].Meter.Coverage()
-		accuracy[i] = units[i].Meter.Accuracy()
+	coverage := make([]float64, len(last.units))
+	accuracy := make([]float64, len(last.units))
+	for i, u := range last.units {
+		coverage[i] = u.Meter.Coverage()
+		accuracy[i] = u.Meter.Accuracy()
 	}
-
-	name := "baseline"
-	if pf != nil {
-		name = pf().Name()
+	total := last.total
+	total.ffInsts, total.ffSeconds = ffInsts, ffSeconds
+	r := newResult(w, coreCfg, last.pred, WarmupFunctional, total)
+	r.Sampling = &SamplingReport{
+		PlannedUnits: len(out.Plan.Units),
+		UnitInsts:    out.Plan.UnitInsts,
+		WarmupInsts:  sp.warmupInsts(),
+		Seed:         sp.Seed,
+		TargetCI:     sp.TargetCI,
+		Rounds:       out.Rounds,
+		Converged:    out.Converged,
+		SampledInsts: total.stats.Retired,
+		IPC:          out.Metric,
+		Coverage:     sample.Estimate(coverage),
+		Accuracy:     sample.Estimate(accuracy),
+		Units:        last.units,
 	}
-	return Result{
-		Workload:  w.Name,
-		Category:  w.Category,
-		Core:      coreCfg.Name,
-		Predictor: name,
-		// Sampled units always warm through the functional taps; record
-		// the path that actually ran rather than the (unused) run-level
-		// warmup mode.
-		WarmupMode: WarmupFunctional,
-		IPC:        st.IPC(),
-		Coverage:   mt.Coverage(),
-		Accuracy:   mt.Accuracy(),
-		Stats:      st,
-		Meter:      mt,
-		FFInsts:    ffInsts,
-		FFSeconds:  ffSeconds,
-		Sampling: &SamplingReport{
-			PlannedUnits: len(out.Plan.Units),
-			UnitInsts:    out.Plan.UnitInsts,
-			WarmupInsts:  sp.warmupInsts(),
-			Seed:         sp.Seed,
-			TargetCI:     sp.TargetCI,
-			Rounds:       out.Rounds,
-			Converged:    out.Converged,
-			SampledInsts: st.Retired,
-			IPC:          out.Metric,
-			Coverage:     sample.Estimate(coverage),
-			Accuracy:     sample.Estimate(accuracy),
-			Units:        units,
-		},
-	}, nil
+	return r, nil
 }
 
-// runSampleRound simulates one planned round: the checkpoint scan plus the
-// parallel per-unit detail simulations. It returns the per-unit results in
-// plan order along with the scan's fast-forward accounting.
-func runSampleRound(ctx context.Context, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options, plan sample.Plan) ([]SampleUnitResult, uint64, float64, error) {
-	warm := opt.Sampling.warmupInsts()
-
+// runUnits executes one plan: the checkpoint scan plus the parallel
+// per-unit detail simulations.
+func runUnits(ctx context.Context, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options, plan unitPlan) (unitRound, error) {
 	// Checkpoint scan: pure architectural execution visits each unit's
 	// warmup start in ascending order. Unit i's measured slice begins at
-	// absolute position WarmupInsts + Start_i; its warmup begins warm
-	// instructions earlier, clamped at the stream start (only reachable
-	// when the run-level warmup region is shorter than the unit warmup).
+	// absolute position WarmupInsts + Start_i; its warmup begins
+	// plan.warmup instructions earlier, clamped at the stream start (only
+	// reachable when the run-level warmup region is shorter than the unit
+	// warmup).
 	t0 := time.Now()
 	ex := prog.NewExec(p)
-	cps := make([]*prog.Checkpoint, len(plan.Units))
-	warms := make([]uint64, len(plan.Units))
-	for i, u := range plan.Units {
+	cps := make([]*prog.Checkpoint, len(plan.units))
+	warms := make([]uint64, len(plan.units))
+	for i, u := range plan.units {
 		measureStart := opt.WarmupInsts + u.Start
-		warms[i] = warm
-		if warms[i] > measureStart {
-			warms[i] = measureStart
-		}
+		warms[i] = min(plan.warmup, measureStart)
 		if at := measureStart - warms[i]; at > ex.Seq() {
 			ex.Run(at-ex.Seq(), nil)
 		}
 		cps[i] = ex.Checkpoint()
 	}
-	scanInsts := ex.Seq()
-	scanSeconds := time.Since(t0).Seconds()
+	rd := unitRound{
+		units: make([]UnitResult, len(plan.units)),
+		total: segment{ffInsts: ex.Seq(), ffSeconds: time.Since(t0).Seconds()},
+		pred:  "baseline",
+	}
 
 	workers := opt.RegionWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	units := make([]SampleUnitResult, len(plan.Units))
-	errs := make([]error, len(plan.Units))
+	errs := make([]error, len(plan.units))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := range plan.Units {
+	for i := range plan.units {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -274,17 +297,20 @@ func runSampleRound(ctx context.Context, p *prog.Program, coreCfg ooo.Config, pf
 			var pred vp.Predictor
 			if pf != nil {
 				pred = pf()
+				if i == 0 {
+					rd.pred = pred.Name()
+				}
 			}
 			unitOpt := opt
-			unitOpt.WarmupMode = WarmupFunctional
+			unitOpt.WarmupMode = plan.mode
 			unitOpt.WarmupInsts = warms[i]
 			exU := cps[i].Restore()
-			seg, err := runSegmentCtx(ctx, coreCfg, pred, exU, cps[i].Memory(), p.WarmRanges, unitOpt, plan.Units[i].Len)
+			seg, err := runSegmentCtx(ctx, coreCfg, pred, exU, cps[i].Memory(), p.WarmRanges, unitOpt, plan.units[i].Len)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			units[i] = SampleUnitResult{
+			rd.units[i] = UnitResult{
 				Index:       i,
 				StartSeq:    cps[i].Seq() + warms[i],
 				WarmupInsts: warms[i],
@@ -299,8 +325,29 @@ func runSampleRound(ctx context.Context, p *prog.Program, coreCfg ooo.Config, pf
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, 0, 0, err
+			return unitRound{}, err
 		}
 	}
-	return units, scanInsts, scanSeconds, nil
+	for _, u := range rd.units {
+		rd.total.stats = statsAdd(rd.total.stats, u.Stats)
+		rd.total.meter = meterAdd(rd.total.meter, u.Meter)
+		rd.total.ffInsts += u.FFInsts
+		rd.total.ffSeconds += u.FFSeconds
+	}
+	return rd, nil
+}
+
+// RegionFidelity compares a region-stitched result against a monolithic
+// run of the same spec: it returns the relative IPC error
+// |stitched - mono| / mono. The warming-fidelity gate in CI holds the
+// geomean of this error across the golden matrix under its threshold.
+func RegionFidelity(stitched, mono Result) float64 {
+	if mono.IPC == 0 {
+		return 0
+	}
+	d := stitched.IPC - mono.IPC
+	if d < 0 {
+		d = -d
+	}
+	return d / mono.IPC
 }

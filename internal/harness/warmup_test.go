@@ -139,7 +139,7 @@ func stripWallClock(r Result) Result {
 	}
 	if r.Sampling != nil {
 		sr := *r.Sampling
-		sr.Units = append([]SampleUnitResult(nil), sr.Units...)
+		sr.Units = append([]UnitResult(nil), sr.Units...)
 		for i := range sr.Units {
 			sr.Units[i].FFSeconds = 0
 		}
@@ -171,8 +171,9 @@ func TestRegionsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Region structure: K regions, consecutive StartSeqs, measured lengths
-// summing to MeasureInsts, stitched stats equal to the field-wise sum.
+// Region structure: K regions whose measured slices start back to back at
+// W + i*step, measured lengths summing to MeasureInsts, stitched stats
+// equal to the field-wise sum.
 func TestRegionStitching(t *testing.T) {
 	w, _ := workload.ByName("omnetpp")
 	opt := Options{WarmupInsts: 5_000, MeasureInsts: 35_000, Regions: 3, ReuseCores: true}
@@ -187,7 +188,7 @@ func TestRegionStitching(t *testing.T) {
 		if reg.Index != i {
 			t.Errorf("region %d: Index = %d", i, reg.Index)
 		}
-		if want := uint64(i) * step; reg.StartSeq != want {
+		if want := opt.WarmupInsts + uint64(i)*step; reg.StartSeq != want {
 			t.Errorf("region %d: StartSeq = %d, want %d", i, reg.StartSeq, want)
 		}
 		want := step

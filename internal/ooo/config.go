@@ -63,13 +63,11 @@ type Config struct {
 	// ablation of the Table-II "aggressive memory disambiguation").
 	ConservativeMemDisambiguation bool
 
-	// DisableIdleElision forces the per-cycle ticking loop even in builds
-	// where idle-cycle elision is compiled in (see elide.go). The modeled
-	// machine is identical either way — elision is a simulator-speed
-	// optimization, proven bit-exact by the golden-stat matrix and the
-	// tick-equivalence tests, which use this switch to run both paths in
-	// one process. The `ooo_noskip` build tag is the equivalent
-	// compile-time escape hatch.
+	// DisableIdleElision forces the per-cycle ticking loop instead of
+	// idle-cycle elision (see elide.go). The modeled machine is identical
+	// either way — elision is a simulator-speed optimization, proven
+	// bit-exact by the golden-stat matrix and the tick-equivalence tests,
+	// which use this switch to run both paths in one process.
 	DisableIdleElision bool
 
 	// Memory hierarchy.

@@ -155,8 +155,8 @@ type RunStats struct {
 	Breakdown CycleBreakdown
 
 	// SkippedCycles counts the cycles the loop clock-jumped instead of
-	// ticking (always a subset of Cycles; 0 under -tags ooo_noskip or
-	// Config.DisableIdleElision) and SkipEvents the number of jumps. They
+	// ticking (always a subset of Cycles; 0 under Config.DisableIdleElision)
+	// and SkipEvents the number of jumps. They
 	// describe the simulator, not the simulated machine: every skipped
 	// cycle is still present in Cycles and the stall breakdown, which stay
 	// byte-identical to the ticking loop.
@@ -236,7 +236,7 @@ func New(cfg Config, pred vp.Predictor, src InstSource, initMem *prog.Memory) *C
 	c.ldWin.init(cfg.LQSize)
 	c.stWin.init(cfg.SQSize)
 	c.nextSample = ^uint64(0)
-	c.elide = elisionBuild && !cfg.DisableIdleElision
+	c.elide = !cfg.DisableIdleElision
 
 	c.ctx.MemPeek = c.shadow.Read
 	c.ctx.CacheLevel = func(addr uint64) int { return int(c.hier.ProbeLevel(addr)) }

@@ -47,14 +47,9 @@ package ooo
 //     bulk-accounted counters.
 //
 // The result is enforced byte-identical to the ticking loop by the
-// golden-stat matrix and TestElisionTickEquivalence; `-tags ooo_noskip`
-// (or Config.DisableIdleElision at runtime) forces the ticking path for
-// differential testing.
-
-// ElisionEnabled reports whether this build compiles the clock-jumping
-// fast path (false under -tags ooo_noskip). A core additionally honors
-// Config.DisableIdleElision at runtime.
-func ElisionEnabled() bool { return elisionBuild }
+// golden-stat matrix, which runs every cell on both paths, and
+// TestElisionTickEquivalence; Config.DisableIdleElision forces the
+// ticking path.
 
 // nextEventHorizon returns the earliest future cycle at which the machine
 // can next change state (or must be observed), and whether any such bound

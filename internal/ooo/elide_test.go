@@ -1,11 +1,11 @@
 package ooo_test
 
 // Differential tests for idle-cycle elision (elide.go). The golden-stat
-// matrix already pins the default build to the pre-elision snapshots; the
-// tests here additionally run the clock-jumping and ticking paths in one
-// process (via Config.DisableIdleElision) and demand byte-identical stats,
-// interval samples, and pipe-trace output — plus proof that the fast path
-// actually skips on the memory-bound workloads it was built for.
+// matrix already pins both the clock-jumping and the ticking path to the
+// pre-elision snapshots; the tests here additionally compare the two paths
+// (via Config.DisableIdleElision) on interval samples and pipe-trace
+// output — plus proof that the fast path actually skips on the
+// memory-bound workloads it was built for.
 
 import (
 	"bytes"
@@ -44,9 +44,7 @@ func normalizeSkips(st ooo.RunStats) ooo.RunStats {
 
 // TestElisionTickEquivalence runs representative cells of the golden matrix
 // twice — clock-jumping and ticking — and requires identical RunStats and
-// vp.Meter. Under -tags ooo_noskip both runs tick and the test degenerates
-// to a determinism check, which is what the CI differential job wants: the
-// golden snapshots then carry the cross-build comparison.
+// vp.Meter.
 func TestElisionTickEquivalence(t *testing.T) {
 	cases := []struct {
 		wl   string
@@ -133,9 +131,6 @@ func TestElisionObserverBoundary(t *testing.T) {
 // ISSUE aimed it: a DRAM-bound pointer chaser must spend a large share of
 // its cycles in jumps.
 func TestElisionSkipsMemBound(t *testing.T) {
-	if !ooo.ElisionEnabled() {
-		t.Skip("built with -tags ooo_noskip")
-	}
 	c := elideCore(t, "mcf", ooo.Skylake(), "none", false)
 	st := c.Run(goldenInsts)
 	if st.SkipEvents == 0 || st.SkippedCycles == 0 {

@@ -82,10 +82,10 @@ func runGoldenCase(wl workload.Workload, cfg ooo.Config, pred string) goldenReco
 	st := c.Run(goldenInsts)
 	// SkippedCycles/SkipEvents describe the simulator (how many cycles the
 	// loop clock-jumped), not the simulated machine, and legitimately differ
-	// between the default and ooo_noskip builds. Zeroing them here makes the
+	// between the elided and ticking loops. Zeroing them here makes the
 	// snapshot comparison a pure machine-model check — and makes the matrix
 	// itself the bit-exactness proof for idle-cycle elision, since both
-	// builds must match the same snapshot.
+	// loops must match the same snapshot.
 	st.SkippedCycles = 0
 	st.SkipEvents = 0
 	return goldenRecord{
@@ -137,12 +137,18 @@ func TestGoldenStats(t *testing.T) {
 					if !ok {
 						t.Fatalf("no golden record for %s (run with -update)", key)
 					}
-					got := runGoldenCase(wl, cfg, pred)
-					if !reflect.DeepEqual(got.Stats, exp.Stats) {
-						t.Errorf("RunStats diverged from golden:\n got: %+v\nwant: %+v", got.Stats, exp.Stats)
-					}
-					if got.Meter != exp.Meter {
-						t.Errorf("vp.Meter diverged from golden:\n got: %+v\nwant: %+v", got.Meter, exp.Meter)
+					// Every cell runs with idle-cycle elision on and off:
+					// both loops must reproduce the same snapshot.
+					for _, tick := range []bool{false, true} {
+						cfg := cfg
+						cfg.DisableIdleElision = tick
+						got := runGoldenCase(wl, cfg, pred)
+						if !reflect.DeepEqual(got.Stats, exp.Stats) {
+							t.Errorf("RunStats (ticking=%v) diverged from golden:\n got: %+v\nwant: %+v", tick, got.Stats, exp.Stats)
+						}
+						if got.Meter != exp.Meter {
+							t.Errorf("vp.Meter (ticking=%v) diverged from golden:\n got: %+v\nwant: %+v", tick, got.Meter, exp.Meter)
+						}
 					}
 				})
 			}

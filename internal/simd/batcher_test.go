@@ -60,7 +60,7 @@ func TestBatcherCoalescesConcurrentSubmits(t *testing.T) {
 		}
 		ids[statuses[i].ID] = true
 	}
-	snap := svc.batch.sizes.Snapshot()
+	snap := svc.batchSizes.Snapshot()
 	if snap.Count != 1 || snap.Sum != n {
 		t.Errorf("batch-size histogram: %d flushes totaling %g requests, want one flush of %d", snap.Count, snap.Sum, n)
 	}
@@ -94,11 +94,7 @@ func TestBatcherDrainFlushesPending(t *testing.T) {
 			statuses[i] = sts[0]
 		}(i)
 	}
-	waitFor(t, func() bool {
-		svc.batch.mu.Lock()
-		defer svc.batch.mu.Unlock()
-		return len(svc.batch.pending) == n
-	})
+	waitFor(t, func() bool { return svc.batch.Pending() == n })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

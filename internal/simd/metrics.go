@@ -189,7 +189,7 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	if s.batch != nil {
 		telemetry.WritePromHeader(w, "fvpd_batch_size",
 			fmt.Sprintf("Requests coalesced per micro-batch flush (window %s, max %d).", s.cfg.BatchWindow, s.cfg.BatchMax))
-		s.batch.sizes.WriteProm(w, "fvpd_batch_size", "")
+		s.batchSizes.WriteProm(w, "fvpd_batch_size", "")
 	}
 
 	s.mu.Lock()

@@ -97,7 +97,7 @@ func TestHTTPSampledRun(t *testing.T) {
 		t.Errorf("IPC estimate: %+v", m.Sampling.IPC)
 	}
 
-	if got := metricValue(t, srv.URL+"/v1", "fvpd_sim_sampled_insts_total"); got != float64(m.Sampling.SampledInsts) {
+	if got := metricValue(t, srv.URL, "fvpd_sim_sampled_insts_total"); got != float64(m.Sampling.SampledInsts) {
 		t.Errorf("fvpd_sim_sampled_insts_total = %g, want %d", got, m.Sampling.SampledInsts)
 	}
 

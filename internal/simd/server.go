@@ -25,11 +25,6 @@ import (
 //	GET    /v1/predictors        predictor configurations + storage budgets
 //	GET    /v1/metrics           Prometheus text exposition
 //	GET    /healthz              liveness + capacity (unversioned by convention)
-//
-// The pre-versioning unversioned paths (/runs, /workloads, /predictors,
-// /metrics) remain as aliases that answer identically but add a
-// Deprecation header and a Link to their /v1 successor; new clients
-// should use /v1 only.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
@@ -44,30 +39,7 @@ func (s *Service) Handler() http.Handler {
 	route("GET /v1/predictors", s.handlePredictors)
 	route("GET /v1/metrics", s.handleMetrics)
 	route("GET /healthz", s.handleHealthz)
-
-	legacy := func(pattern, successor string, h http.HandlerFunc) {
-		route(pattern, deprecated(successor, h))
-	}
-	legacy("POST /runs", "/v1/runs", s.handleSubmit)
-	legacy("GET /runs", "/v1/runs", s.handleList)
-	legacy("GET /runs/{id}", "/v1/runs/{id}", s.handleGet)
-	legacy("DELETE /runs/{id}", "/v1/runs/{id}", s.handleCancel)
-	legacy("GET /workloads", "/v1/workloads", s.handleWorkloads)
-	legacy("GET /predictors", "/v1/predictors", s.handlePredictors)
-	legacy("GET /metrics", "/v1/metrics", s.handleMetrics)
 	return mux
-}
-
-// deprecated wraps a legacy-path handler, announcing the successor route
-// per RFC 8594 (Sunset/Deprecation link relations): the response carries
-// "Deprecation: true" plus a Link with rel="successor-version", so clients
-// and proxies can flag callers still on pre-versioned paths.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // instrument records per-endpoint request counts and latency, and feeds

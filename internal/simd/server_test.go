@@ -41,10 +41,10 @@ func postRuns(t *testing.T, url, body string) (*http.Response, SubmitResponse) {
 	return resp, out
 }
 
-// metricValue digs one counter out of the /metrics text exposition.
+// metricValue digs one counter out of the /v1/metrics text exposition.
 func metricValue(t *testing.T, url, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fvp"
+	"fvp/internal/coalesce"
 	"fvp/internal/store"
 	"fvp/internal/telemetry"
 )
@@ -74,11 +75,13 @@ type Config struct {
 	// imposes no quotas: every tenant is unlimited and the queue is a
 	// single FIFO, exactly the pre-tenancy behavior.
 	Tenants TenantConfig
-	// BatchWindow enables the edge micro-batcher: concurrent submits are
+	// BatchWindow enables request coalescing: concurrent submits are
 	// coalesced for up to this long (or until BatchMax requests pend)
 	// into one admission + durable-store transaction, amortizing quota
-	// charging and the per-batch fsync. 0 (the default) disables
-	// coalescing; every submit is its own transaction, as before.
+	// charging and the per-batch fsync. A cluster node fronting the
+	// service coalesces its forwards to each peer with the same window.
+	// 0 (the default) disables coalescing; every submit is its own
+	// transaction, as before.
 	BatchWindow time.Duration
 	// BatchMax caps the requests coalesced into one flush; default 256.
 	// A full batch flushes immediately without waiting out the window.
@@ -207,7 +210,11 @@ type Service struct {
 	recovered uint64 // jobs re-dispatched from the JobStore at boot
 
 	// batch is the edge micro-batcher; nil unless Config.BatchWindow > 0.
-	batch *batcher
+	batch *coalesce.Batcher[RunRequest, JobStatus]
+	// batchSizes is fvpd_batch_size: requests coalesced per flush. A p50
+	// near 1 means the window is not seeing concurrency; widen it or stop
+	// paying the parking latency.
+	batchSizes *telemetry.Hist
 	// reqHist is fvpd_request_seconds{path,outcome}: end-to-end request
 	// latency per route pattern, the series p50/p99-vs-SLO reads come from.
 	reqHist *telemetry.Vec
@@ -249,7 +256,13 @@ func New(cfg Config) *Service {
 	s.cond = sync.NewCond(&s.mu)
 	s.reqHist = telemetry.NewVec(telemetry.NewLatency)
 	if cfg.BatchWindow > 0 {
-		s.batch = newBatcher(s, cfg.BatchWindow, cfg.BatchMax)
+		s.batchSizes = telemetry.NewSizes()
+		s.batch = &coalesce.Batcher[RunRequest, JobStatus]{
+			Window:  cfg.BatchWindow,
+			Max:     cfg.BatchMax,
+			Submit:  s.SubmitBatch,
+			OnFlush: func(n int) { s.batchSizes.Observe(float64(n)) },
+		}
 	}
 	s.recoverJobs()
 	for i := 0; i < cfg.Workers; i++ {
@@ -334,16 +347,25 @@ func (s *Service) Submit(req RunRequest) (JobStatus, error) {
 
 // SubmitBatched routes one caller's requests through the edge
 // micro-batcher when one is configured (Config.BatchWindow > 0) and
-// directly to SubmitBatch otherwise. Coalesced callers keep their
-// individual semantics — a rejection that only applies to the merged
-// batch (another caller's quota, a stranger's validation error) degrades
-// to per-caller submits rather than poisoning everyone in the window.
-// The HTTP submit path uses this entry point.
+// directly to SubmitBatch otherwise. Concurrent callers within one window
+// share a single SubmitBatch — one admission pass, one tenant-quota
+// transaction, one durable JobStore append (one fsync on the disk
+// backend). Coalesced callers keep their individual semantics — a
+// rejection that only applies to the merged batch (another caller's
+// quota, a stranger's validation error) degrades to per-caller submits
+// rather than poisoning everyone in the window. The HTTP submit path and
+// the cluster router's local groups use this entry point.
 func (s *Service) SubmitBatched(reqs []RunRequest) ([]JobStatus, error) {
 	if s.batch == nil || len(reqs) == 0 {
 		return s.SubmitBatch(reqs)
 	}
-	return s.batch.submit(reqs)
+	return s.batch.Do(context.Background(), reqs)
+}
+
+// Batching reports the coalescing window and size cap (Config.BatchWindow
+// and BatchMax); a zero window means coalescing is off.
+func (s *Service) Batching() (window time.Duration, max int) {
+	return s.cfg.BatchWindow, s.cfg.BatchMax
 }
 
 // SubmitBatch submits a batch atomically with respect to queue capacity,
@@ -982,7 +1004,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	// parked in the window get a real admit/reject decision, and their
 	// jobs drain with everything else.
 	if s.batch != nil {
-		s.batch.close()
+		s.batch.Close()
 	}
 	s.mu.Lock()
 	s.closed = true
@@ -1012,7 +1034,7 @@ func (s *Service) Drain(ctx context.Context) error {
 // stores are closed.
 func (s *Service) Close() {
 	if s.batch != nil {
-		s.batch.close()
+		s.batch.Close()
 	}
 	s.stop()
 	s.mu.Lock()

@@ -163,10 +163,10 @@ func TestTenantQuota429(t *testing.T) {
 	}
 
 	// The rejection and both tenants' inflight show up in the exposition.
-	if v := metricValue(t, srv.URL+"/v1", `fvpd_tenant_rejected_total{tenant="flood"}`); v != 1 {
+	if v := metricValue(t, srv.URL, `fvpd_tenant_rejected_total{tenant="flood"}`); v != 1 {
 		t.Errorf("fvpd_tenant_rejected_total{flood} = %g, want 1", v)
 	}
-	if v := metricValue(t, srv.URL+"/v1", `fvpd_tenant_inflight{tenant="light"}`); v != 1 {
+	if v := metricValue(t, srv.URL, `fvpd_tenant_inflight{tenant="light"}`); v != 1 {
 		t.Errorf("fvpd_tenant_inflight{light} = %g, want 1", v)
 	}
 }

@@ -96,7 +96,7 @@ func TestHTTPFunctionalRunReportsFFWork(t *testing.T) {
 		t.Error("functional region run reported no fast-forwarded instructions")
 	}
 
-	if got := metricValue(t, srv.URL+"/v1", "fvpd_sim_ff_insts_total"); got != float64(m.FFInsts) {
+	if got := metricValue(t, srv.URL, "fvpd_sim_ff_insts_total"); got != float64(m.FFInsts) {
 		t.Errorf("fvpd_sim_ff_insts_total = %g, want %d", got, m.FFInsts)
 	}
 }

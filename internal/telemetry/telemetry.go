@@ -46,7 +46,7 @@ type Sample struct {
 	// SkippedCycles is the interval's share of idle-elided cycles — a
 	// simulator-speed meter, not a machine property: every skipped cycle is
 	// still counted in the interval length and breakdown, and the field is 0
-	// under -tags ooo_noskip or ooo.Config.DisableIdleElision.
+	// under ooo.Config.DisableIdleElision.
 	SkippedCycles uint64 `json:"skipped_cycles"`
 
 	// CycleBreakdown attributes the interval's cycles to the 9 top-down
