@@ -10,6 +10,78 @@ import (
 	"fvp"
 )
 
+// TestLegacyAliasesDeprecated checks the pre-versioning read-only paths are
+// no longer served: each answers 404 with no Deprecation header, while its
+// /v1 successor still answers 200.
+func TestLegacyAliasesDeprecated(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct{ legacy, successor string }{
+		{"/workloads", "/v1/workloads"},
+		{"/predictors", "/v1/predictors"},
+		{"/metrics", "/v1/metrics"},
+	} {
+		legacyResp, err := http.Get(srv.URL + tc.legacy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacyResp.Body.Close()
+		if legacyResp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", tc.legacy, legacyResp.StatusCode)
+		}
+		if got := legacyResp.Header.Get("Deprecation"); got != "" {
+			t.Errorf("GET %s: Deprecation header = %q, want none", tc.legacy, got)
+		}
+
+		v1Resp, err := http.Get(srv.URL + tc.successor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1Resp.Body.Close()
+		if v1Resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: HTTP %d, want 200", tc.successor, v1Resp.StatusCode)
+		}
+	}
+}
+
+// TestLegacyRunsAlias checks the pre-versioning /runs path is no longer
+// served: a submit through it answers 404 and runs nothing, and a job
+// submitted through /v1/runs is fetchable only under /v1/runs/{id}.
+func TestLegacyRunsAlias(t *testing.T) {
+	svc, srv := newTestServer(t, Config{Workers: 1})
+	const body = `{"workload":"omnetpp","warmup_insts":1000,"measure_insts":2000}`
+	resp, _ := postRuns(t, srv.URL+"/runs?wait=1", body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("legacy submit: HTTP %d, want 404", resp.StatusCode)
+	}
+	if n := svc.Snapshot().JobsDone; n != 0 {
+		t.Fatalf("legacy submit ran %d job(s), want none", n)
+	}
+
+	resp, out := postRuns(t, srv.URL+"/v1/runs?wait=1", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("v1 submit: HTTP %d", resp.StatusCode)
+	}
+	if len(out.Jobs) != 1 || out.Jobs[0].State != StateDone {
+		t.Fatalf("v1 submit outcome: %+v", out.Jobs)
+	}
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/runs/", http.StatusNotFound},
+		{"/v1/runs/", http.StatusOK},
+	} {
+		r, err := http.Get(srv.URL + tc.path + out.Jobs[0].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != tc.want {
+			t.Errorf("GET %s%s: HTTP %d, want %d", tc.path, out.Jobs[0].ID, r.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestMetricsExposition checks the canonical /v1/metrics output carries
 // HELP/TYPE metadata for every metric family.
 func TestMetricsExposition(t *testing.T) {
