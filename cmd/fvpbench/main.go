@@ -37,6 +37,10 @@
 //     full detail and again as a SMARTS-style sampled estimate (speedup
 //     floor 10x), plus a sampled suite sweep whose sim MIPS credits the
 //     whole estimated region — the two-digit-MIPS headline.
+//  7. Per-run set-up: the milliseconds Core.WarmCaches spends installing
+//     each golden workload's steady-state cache image on a just-Reset
+//     core, the cost every run, sampling unit and fvpd job pays before
+//     its first simulated cycle.
 //
 // With -gate the freshly measured suite throughputs are compared against a
 // recorded BENCH_core.json and the run exits nonzero on a >5% sim MIPS
@@ -64,6 +68,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -294,6 +299,25 @@ type RequestPlaneEnv struct {
 	ReplicateAfter int    `json:"replicate_after"`
 }
 
+// SetupRow is one workload's Core.WarmCaches cost: the median and the
+// interquartile range of Repeats interleaved timings, each on a core just
+// Reset.
+type SetupRow struct {
+	Workload   string  `json:"workload"`
+	WarmMillis float64 `json:"warm_caches_ms"`
+	IQRMillis  float64 `json:"warm_caches_iqr_ms"`
+}
+
+// SetupSection is the per-run set-up cost over the golden-matrix
+// workloads on the Skylake hierarchy. MeanWarmMillis averages the rows'
+// medians.
+type SetupSection struct {
+	Core           string     `json:"core"`
+	Repeats        int        `json:"repeats"`
+	Rows           []SetupRow `json:"rows"`
+	MeanWarmMillis float64    `json:"mean_warm_caches_ms"`
+}
+
 // StoreBench is one fvpd store-backend row: the durable-write cost
 // (ResultPut includes the disk backend's per-record fsync) and the
 // service-level cache-hit submit latency (which must not fsync on either
@@ -344,6 +368,9 @@ type Report struct {
 	SuiteWarmupSpeedup float64     `json:"suite_warmup_speedup"`
 
 	ParallelRegions ParallelRegions `json:"parallel_regions"`
+
+	// Setup is the per-run cache-warm cost of each golden workload.
+	Setup SetupSection `json:"setup"`
 
 	// Sampling is the statistical-sampling engine: the full-vs-sampled
 	// speedup on one paper-scale region (floor 10x) and the sampled suite
@@ -577,7 +604,9 @@ func measureCycleLoop(wlName string, instsPerOp uint64, ops int, disableElide, r
 		fatalf("workload %q not found", wlName)
 	}
 	p := w.Build()
-	var ex ooo.InstSource = prog.NewExec(p)
+	gen := prog.NewExec(p)
+	initMem := gen.Checkpoint().Memory()
+	var ex ooo.InstSource = gen
 	if replay {
 		window := replayWindowFactor * instsPerOp
 		data, n, err := trace.Record(prog.NewExec(p), window)
@@ -592,7 +621,7 @@ func measureCycleLoop(wlName string, instsPerOp uint64, ops int, disableElide, r
 	}
 	cfg := ooo.Skylake()
 	cfg.DisableIdleElision = disableElide
-	c := ooo.New(cfg, core.New(core.DefaultConfig()), ex, p.BuildMemory())
+	c := ooo.New(cfg, core.New(core.DefaultConfig()), ex, initMem)
 	c.WarmCaches(p.WarmRanges)
 	st0 := c.Run(instsPerOp) // reach steady state before timing
 	st1 := st0
@@ -633,12 +662,14 @@ func measureFastForward(wlName string, warmInsts uint64, ops int) FastForward {
 		fatalf("workload %q not found", wlName)
 	}
 	p := w.Build()
-	c := ooo.New(ooo.Skylake(), vp.None{}, prog.NewExec(p), p.BuildMemory())
+	ex := prog.NewExec(p)
+	c := ooo.New(ooo.Skylake(), vp.None{}, ex, ex.Checkpoint().Memory())
 
 	time1 := func(warm func(*ooo.Core)) float64 {
 		var total time.Duration
 		for i := 0; i < ops; i++ {
-			c.Reset(vp.None{}, prog.NewExec(p), p.BuildMemory())
+			ex := prog.NewExec(p)
+			c.Reset(vp.None{}, ex, ex.Checkpoint().Memory())
 			start := time.Now()
 			warm(c)
 			total += time.Since(start)
@@ -653,6 +684,45 @@ func measureFastForward(wlName string, warmInsts uint64, ops int) FastForward {
 	}
 	ff.Speedup = ff.FunctionalInstPerSec / ff.DetailedInstPerSec
 	return ff
+}
+
+// measureSetup times Core.WarmCaches for each named workload on one
+// Skylake core, Reset before every timing. The repeats are interleaved
+// (every workload once per round) so a slow stretch of the host spreads
+// over all rows instead of landing on one.
+func measureSetup(names []string, repeats int) SetupSection {
+	type subject struct {
+		p  *prog.Program
+		ex *prog.Exec
+	}
+	subs := make([]subject, len(names))
+	for i, name := range names {
+		w, ok := workload.ByName(name)
+		if !ok {
+			fatalf("workload %q not found", name)
+		}
+		p := w.Build()
+		subs[i] = subject{p, prog.NewExec(p)}
+	}
+	c := ooo.New(ooo.Skylake(), vp.None{}, subs[0].ex, nil)
+	times := make([][]float64, len(names))
+	for r := 0; r < repeats; r++ {
+		for i, s := range subs {
+			c.Reset(vp.None{}, s.ex, nil)
+			start := time.Now()
+			c.WarmCaches(s.p.WarmRanges)
+			times[i] = append(times[i], time.Since(start).Seconds()*1e3)
+		}
+	}
+	sec := SetupSection{Core: "Skylake", Repeats: repeats}
+	for i, name := range names {
+		ts := times[i]
+		sort.Float64s(ts)
+		q := func(f float64) float64 { return ts[int(f*float64(len(ts)-1)+0.5)] }
+		sec.Rows = append(sec.Rows, SetupRow{Workload: name, WarmMillis: q(0.5), IQRMillis: q(0.75) - q(0.25)})
+		sec.MeanWarmMillis += q(0.5) / float64(len(names))
+	}
+	return sec
 }
 
 // measureParallelRegions runs one long (warmup, measure) slice split into
@@ -851,6 +921,19 @@ func main() {
 	fmt.Printf("  detailed %.1fs vs functional %.1fs wall: %.2fx\n",
 		suitePaper.WallSeconds, suiteFun.WallSeconds, suiteSpeedup)
 
+	setupRepeats := 9
+	if *quick {
+		setupRepeats = 5
+	}
+	golden := workload.GoldenMatrix()
+	fmt.Printf("fvpbench: per-run set-up (Core.WarmCaches on %d golden workloads, %d interleaved repeats)...\n",
+		len(golden), setupRepeats)
+	setup := measureSetup(golden, setupRepeats)
+	for _, r := range setup.Rows {
+		fmt.Printf("  %-10s %7.3f ms (IQR %.3f)\n", r.Workload, r.WarmMillis, r.IQRMillis)
+	}
+	fmt.Printf("  mean %.3f ms per warm\n", setup.MeanWarmMillis)
+
 	regWarm, regMeasure := uint64(50_000), uint64(800_000)
 	if *quick {
 		regWarm, regMeasure = 20_000, 200_000
@@ -963,6 +1046,7 @@ func main() {
 		SuiteFunctional:    suiteFun,
 		SuiteWarmupSpeedup: suiteSpeedup,
 		ParallelRegions:    regions,
+		Setup:              setup,
 		Sampling:           SamplingSection{SpeedupVsDetail: sampRun, Suite: suiteSampled},
 		Store:              storeRows,
 		Service:            svcSection,

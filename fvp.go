@@ -945,17 +945,18 @@ func FVPStorage() []StorageItem {
 	return out
 }
 
-// BuildWorkloadSource returns a fresh instruction source plus the initial
-// memory image for a named workload — the low-level hook for users driving
-// internal tooling (e.g. cmd/tracegen) or custom analyses over the
-// functional trace without the timing model.
+// BuildWorkloadSource returns a fresh instruction source for a named
+// workload plus a copy-on-write clone of its initial memory image (built
+// once, not twice) — the low-level hook for users driving internal tooling
+// (e.g. cmd/tracegen) or custom analyses over the functional trace without
+// the timing model.
 func BuildWorkloadSource(name string) (*prog.Exec, *prog.Memory, error) {
 	w, ok := workload.ByName(name)
 	if !ok {
 		return nil, nil, unknownName("workload", name, workloadNames())
 	}
-	p := w.Build()
-	return prog.NewExec(p), p.BuildMemory(), nil
+	ex := prog.NewExec(w.Build())
+	return ex, ex.Checkpoint().Memory(), nil
 }
 
 // ensure the façade's predictor names stay in sync with the framework.

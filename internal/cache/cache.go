@@ -10,6 +10,8 @@
 // the fill instead of double-fetching.
 package cache
 
+import "math/bits"
+
 // Line is one cache line's metadata.
 type line struct {
 	tag     uint64
@@ -57,7 +59,7 @@ func (s *Stats) MissRate() float64 {
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // sets×ways, set-major
 	setMask  uint64
 	lineBits uint
 	tick     uint64 // LRU clock
@@ -84,12 +86,9 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:         cfg,
-		sets:        make([][]line, nSets),
+		lines:       make([]line, nSets*cfg.Ways),
 		setMask:     uint64(nSets - 1),
 		pendingMSHR: -1,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
@@ -104,15 +103,10 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Reset restores the cache to its just-constructed state (all lines invalid,
-// MSHRs free, stats zeroed) without reallocating the line arrays, so a cache
+// MSHRs free, stats zeroed) without reallocating the line array, so a cache
 // can be reused across simulation runs.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		set := c.sets[i]
-		for j := range set {
-			set[j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.tick = 0
 	for i := range c.mshrFree {
 		c.mshrFree[i] = 0
@@ -124,16 +118,25 @@ func (c *Cache) Reset() {
 // LineAddr maps a byte address to its line-aligned address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
 
-func (c *Cache) setOf(addr uint64) []line { return c.sets[(addr>>c.lineBits)&c.setMask] }
+func (c *Cache) setOf(addr uint64) []line { return c.set((addr >> c.lineBits) & c.setMask) }
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	w := c.cfg.Ways
+	i := int(s) * w
+	return c.lines[i : i+w : i+w]
+}
 
 func (c *Cache) tagOf(addr uint64) uint64 { return addr >> c.lineBits }
 
 // Probe reports whether addr is present (no state change, no stats).
 func (c *Cache) Probe(addr uint64) bool {
-	tag := c.tagOf(addr)
-	for i := range c.setOf(addr) {
-		l := &c.setOf(addr)[i]
-		if l.valid && l.tag == tag {
+	return present(c.setOf(addr), c.tagOf(addr))
+}
+
+func present(set []line, tag uint64) bool {
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
 			return true
 		}
 	}
@@ -294,6 +297,148 @@ func (c *Cache) Fill(addr uint64, readyAt uint64, write, prefetched bool) {
 		c.Stats.PrefetchFills++
 	}
 	c.releaseMSHR(readyAt)
+}
+
+// Span is the byte range [Base, Base+Bytes) of a warm pass.
+type Span struct{ Base, Bytes uint64 }
+
+// spanLines returns the line number (= tag) of s's first line and how many
+// lines the walk from that line up to Base+Bytes visits.
+func (c *Cache) spanLines(s Span) (first, n uint64) {
+	start := s.Base >> c.lineBits << c.lineBits
+	end := s.Base + s.Bytes
+	if end <= start {
+		return start >> c.lineBits, 0
+	}
+	return start >> c.lineBits, (end-start-1)>>c.lineBits + 1
+}
+
+// WarmFill installs the lines of spans in order, each span from its first
+// line up to Base+Bytes, as clean lines with data ready at cycle 0. The
+// resulting state is bit-identical to calling Fill(a, 0, false, false) for
+// each of those lines in turn. It panics unless the cache is untouched since
+// New or Reset.
+//
+// On such a cache every one of those fills is a clean insert or a re-fill of
+// a present line, which advances only the LRU clock, so each set behaves as a
+// FIFO: its k-th insert lands in way k mod Ways. WarmFill therefore writes
+// each line straight into its way. Only a span that overlaps an earlier one
+// can find a line present, and replayHits bounds where. Of the lines after
+// that, a span writes only the last C = sets×ways, which overwrite every way;
+// the clock and the per-set insert counts advance arithmetically over the
+// lines in between.
+func (c *Cache) WarmFill(spans []Span) {
+	if c.tick != 0 {
+		panic("cache: WarmFill on " + c.cfg.Name + " after it was touched")
+	}
+	f := fifoWarm{c: c, ways: uint64(c.cfg.Ways), next: make([]uint64, c.setMask+1)}
+	capLines := uint64(len(c.lines))
+	for i, sp := range spans {
+		first, n := c.spanLines(sp)
+		if n == 0 {
+			continue
+		}
+		var j uint64 // lines [0, j) may hit; no line from j on is present
+		for _, prev := range spans[:i] {
+			if pf, pn := c.spanLines(prev); pn > 0 && first < pf+pn && pf < first+n {
+				j = f.replayHits(first, n)
+				break
+			}
+		}
+		tail := j
+		if n-j > capLines {
+			tail = n - capLines
+		}
+		f.skip(first+j, tail-j)
+		for tag := first + tail; tag < first+n; tag++ {
+			f.insert(tag)
+		}
+	}
+}
+
+// fifoWarm is the state of one WarmFill pass.
+type fifoWarm struct {
+	c    *Cache
+	ways uint64
+	next []uint64 // per set: the way its next insert lands in
+	left []uint64 // per set: inserts replayHits still checks for hits
+}
+
+func (f *fifoWarm) insert(tag uint64) {
+	c := f.c
+	c.tick++
+	s := tag & c.setMask
+	c.lines[s*f.ways+f.next[s]] = line{tag: tag, valid: true, lru: c.tick}
+	if f.next[s]++; f.next[s] == f.ways {
+		f.next[s] = 0
+	}
+}
+
+// skip accounts for inserting the n consecutive lines from first without
+// writing them.
+func (f *fifoWarm) skip(first, n uint64) {
+	f.c.tick += n
+	sets := uint64(len(f.next))
+	if q := n / sets % f.ways; q > 0 {
+		for s := range f.next {
+			f.next[s] = (f.next[s] + q) % f.ways
+		}
+	}
+	for tag := first; tag < first+n%sets; tag++ {
+		s := tag & f.c.setMask
+		if f.next[s]++; f.next[s] == f.ways {
+			f.next[s] = 0
+		}
+	}
+}
+
+// replayHits fills the head of the span [first, first+n) that may re-fill a
+// line an earlier span left in the cache, and returns its length.
+//
+// In set s the span's k-th line is first + j + k·sets for a fixed j. A line
+// left in s at FIFO rank r (the number of further inserts into s it
+// survives) is found present iff its k, minus the hits s takes before it, is
+// at most r. So s takes no hit at all unless one of its lines has k ≤ r, and
+// after s has taken `ways` inserts from the span no earlier line is left in
+// it. replayHits checks lines against their set only in such sets, and only
+// until then: at most 2C lines, and none when no set can take a hit.
+func (f *fifoWarm) replayHits(first, n uint64) uint64 {
+	c := f.c
+	if f.left == nil {
+		f.left = make([]uint64, len(f.next))
+	}
+	setBits := bits.OnesCount64(c.setMask)
+	watched := 0
+	for j := uint64(0); j < n && j <= c.setMask; j++ {
+		s := (first + j) & c.setMask
+		f.left[s] = 0
+		set := c.set(s)
+		for w := range set {
+			l := &set[w]
+			rank := (uint64(w) + f.ways - f.next[s]) % f.ways
+			if l.valid && l.tag-first < n && (l.tag-first)>>setBits <= rank {
+				f.left[s] = f.ways
+				watched++
+				break
+			}
+		}
+	}
+	var j uint64
+	for ; watched > 0 && j < n; j++ {
+		tag := first + j
+		s := tag & c.setMask
+		if f.left[s] > 0 {
+			if present(c.set(s), tag) {
+				c.tick++
+				continue
+			}
+			if f.left[s]--; f.left[s] == 0 {
+				watched--
+			}
+		}
+		f.insert(tag)
+	}
+	return j
 }
 
 func (c *Cache) releaseMSHR(at uint64) {

@@ -334,7 +334,9 @@ func RunOneCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf 
 		pred = pf()
 		name = pred.Name()
 	}
-	seg, err := runSegmentCtx(ctx, coreCfg, pred, ex, p.BuildMemory(), p.WarmRanges, opt, opt.MeasureInsts)
+	// The core's memory shadow is a copy-on-write clone of the executor's
+	// image, so each run builds the initial image once.
+	seg, err := runSegmentCtx(ctx, coreCfg, pred, ex, ex.Checkpoint().Memory(), p.WarmRanges, opt, opt.MeasureInsts)
 	if err != nil {
 		return Result{}, err
 	}

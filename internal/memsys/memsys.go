@@ -54,7 +54,9 @@ type Config struct {
 	MemReturnCycles uint64
 }
 
-// Hierarchy is the assembled memory system.
+// Hierarchy is the assembled memory system. A run takes it fresh from New
+// or Reset, installs its steady-state cache image once with WarmRanges,
+// and then issues accesses.
 type Hierarchy struct {
 	L1I, L1D, L2, LLC *cache.Cache
 	Dram              *dram.Controller
@@ -276,21 +278,33 @@ func (h *Hierarchy) warmBelowL1(start uint64, addr uint64) (uint64, Level) {
 	return memDone, LvlMem
 }
 
-// Warm pre-loads the lines covering [base, base+bytes) into the given level
-// and everything below it, with data ready immediately. Workload setup uses
-// it to start kernels from a steady-state cache image instead of an
-// unrealistically cold one.
-func (h *Hierarchy) Warm(base, bytes uint64, lvl Level) {
-	line := uint64(h.L1D.Config().LineBytes)
-	for a := base &^ (line - 1); a < base+bytes; a += line {
-		if lvl <= LvlLLC {
-			h.LLC.Fill(a, 0, false, false)
+// WarmRange asks for the lines of [Base, Base+Bytes) to start resident in
+// Level and every level behind it.
+type WarmRange struct {
+	Base, Bytes uint64
+	Level       Level
+}
+
+// WarmRanges pre-loads every range, in order, into its level and everything
+// below it, with clean data ready at cycle 0. Workload setup uses it to start
+// kernels from a steady-state cache image instead of an unrealistically cold
+// one. Ranges whose level is not a cache level are ignored.
+//
+// The L1D, L2 and LLC must be untouched since New or Reset; WarmRanges
+// panics otherwise. Each of them ends up bit-identical to filling the lines
+// of its ranges one by one with Fill (see cache.Cache.WarmFill).
+func (h *Hierarchy) WarmRanges(ranges []WarmRange) {
+	spans := make([]cache.Span, 0, len(ranges))
+	for _, lv := range [...]struct {
+		c   *cache.Cache
+		lvl Level
+	}{{h.L1D, LvlL1}, {h.L2, LvlL2}, {h.LLC, LvlLLC}} {
+		spans = spans[:0]
+		for _, r := range ranges {
+			if r.Level >= LvlL1 && r.Level <= lv.lvl {
+				spans = append(spans, cache.Span{Base: r.Base, Bytes: r.Bytes})
+			}
 		}
-		if lvl <= LvlL2 {
-			h.L2.Fill(a, 0, false, false)
-		}
-		if lvl <= LvlL1 {
-			h.L1D.Fill(a, 0, false, false)
-		}
+		lv.c.WarmFill(spans)
 	}
 }

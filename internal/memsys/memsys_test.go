@@ -48,16 +48,18 @@ func TestLoadMissPathAndRefill(t *testing.T) {
 
 func TestLoadLevels(t *testing.T) {
 	h := New(testConfig())
-	h.Warm(0x20000, 64, LvlLLC)
+	h.WarmRanges([]WarmRange{
+		{Base: 0x20000, Bytes: 64, Level: LvlLLC},
+		{Base: 0x30000, Bytes: 64, Level: LvlL2},
+		{Base: 0x40040, Bytes: 64, Level: LvlL1}, // own L1D set: the loads above refill set 0
+	})
 	if _, lvl := h.Load(0, 0x20000, 0x400); lvl != LvlLLC {
 		t.Errorf("LLC-warmed line served by %v", lvl)
 	}
-	h.Warm(0x30000, 64, LvlL2)
 	if _, lvl := h.Load(0, 0x30000, 0x400); lvl != LvlL2 {
 		t.Errorf("L2-warmed line served by %v", lvl)
 	}
-	h.Warm(0x40000, 64, LvlL1)
-	if _, lvl := h.Load(0, 0x40000, 0x400); lvl != LvlL1 {
+	if _, lvl := h.Load(0, 0x40040, 0x400); lvl != LvlL1 {
 		t.Errorf("L1-warmed line served by %v", lvl)
 	}
 }
@@ -67,7 +69,7 @@ func TestProbeLevel(t *testing.T) {
 	if l := h.ProbeLevel(0x50000); l != LvlMem {
 		t.Errorf("uncached line probes as %v", l)
 	}
-	h.Warm(0x50000, 64, LvlL2)
+	h.WarmRanges([]WarmRange{{Base: 0x50000, Bytes: 64, Level: LvlL2}})
 	if l := h.ProbeLevel(0x50000); l != LvlL2 {
 		t.Errorf("warmed line probes as %v", l)
 	}
@@ -82,13 +84,43 @@ func TestProbeLevel(t *testing.T) {
 
 func TestWarmLevelsAreInclusive(t *testing.T) {
 	h := New(testConfig())
-	h.Warm(0x70000, 64, LvlL1)
+	h.WarmRanges([]WarmRange{
+		{Base: 0x70000, Bytes: 64, Level: LvlL1},
+		{Base: 0x80000, Bytes: 64, Level: LvlLLC},
+		{Base: 0x90000, Bytes: 64, Level: LvlMem},
+	})
 	if !h.L1D.Probe(0x70000) || !h.L2.Probe(0x70000) || !h.LLC.Probe(0x70000) {
 		t.Error("L1 warm must also fill L2 and LLC")
 	}
-	h.Warm(0x80000, 64, LvlLLC)
-	if h.L1D.Probe(0x80000) || h.L2.Probe(0x80000) {
-		t.Error("LLC warm must not fill L1/L2")
+	if h.L1D.Probe(0x80000) || h.L2.Probe(0x80000) || !h.LLC.Probe(0x80000) {
+		t.Error("LLC warm must fill the LLC only")
+	}
+	if h.ProbeLevel(0x90000) != LvlMem {
+		t.Error("a range at the memory level must not be cached")
+	}
+}
+
+func TestWarmTouchedHierarchyPanics(t *testing.T) {
+	for _, touch := range []func(h *Hierarchy){
+		func(h *Hierarchy) { h.Load(0, 0x1000, 0x400) },
+		func(h *Hierarchy) { h.WarmRanges([]WarmRange{{Base: 0x1000, Bytes: 64, Level: LvlLLC}}) },
+		func(h *Hierarchy) { h.L2.Fill(0x1000, 0, false, false) },
+	} {
+		h := New(testConfig())
+		touch(h)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("warming a touched hierarchy must panic")
+				}
+			}()
+			h.WarmRanges(nil)
+		}()
+		h.Reset()
+		h.WarmRanges([]WarmRange{{Base: 0x1000, Bytes: 64, Level: LvlL1}})
+		if h.ProbeLevel(0x1000) != LvlL1 {
+			t.Error("warming after Reset must work")
+		}
 	}
 }
 

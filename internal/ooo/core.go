@@ -319,15 +319,15 @@ func (c *Core) Reset(pred vp.Predictor, src InstSource, initMem *prog.Memory) {
 }
 
 // WarmCaches pre-installs the program's steady-state ranges into the
-// hierarchy so the measured region is not dominated by compulsory misses.
+// hierarchy, in one bulk pass, so the measured region is not dominated by
+// compulsory misses. The core must be new or just Reset, with nothing run
+// on it yet; WarmCaches panics otherwise (see memsys.Hierarchy.WarmRanges).
 func (c *Core) WarmCaches(ranges []prog.WarmRange) {
-	for _, r := range ranges {
-		lvl := memsys.Level(r.Level)
-		if lvl < memsys.LvlL1 || lvl > memsys.LvlLLC {
-			continue
-		}
-		c.hier.Warm(r.Base, r.Bytes, lvl)
+	rs := make([]memsys.WarmRange, len(ranges))
+	for i, r := range ranges {
+		rs[i] = memsys.WarmRange{Base: r.Base, Bytes: r.Bytes, Level: memsys.Level(r.Level)}
 	}
+	c.hier.WarmRanges(rs)
 }
 
 // Hierarchy exposes the memory system for inspection (tests, stats).
