@@ -21,9 +21,12 @@
 //     carries its skip_ratio, so the artifact shows which workload
 //     categories the elision fast path accelerates.
 //  4. The fast-forward subsystem: warmup-phase throughput detailed vs
-//     functional (floor 5x), a paper-scale suite pass with each warmup
-//     mode (end-to-end wall-clock ratio), and the region-parallel scaling
-//     curve (K=1,2,4,8 checkpointed regions on K workers).
+//     functional (floor 5x), the functional executor's ns per instruction
+//     on each golden workload, stepping with Exec.Next and scanning with
+//     Exec.Run(n, nil) as checkpoint scans do, a paper-scale suite pass
+//     with each warmup mode (end-to-end wall-clock ratio), and the
+//     region-parallel scaling curve (K=1,2,4,8 checkpointed regions on K
+//     workers).
 //  5. The fvpd store backends: result-record put latency (the disk
 //     backend's fsync cost) and service-level cache-hit submit latency,
 //     memory vs disk — cache hits must stay fsync-free on both.
@@ -37,10 +40,11 @@
 //     full detail and again as a SMARTS-style sampled estimate (speedup
 //     floor 10x), plus a sampled suite sweep whose sim MIPS credits the
 //     whole estimated region — the two-digit-MIPS headline.
-//  7. Per-run set-up: the milliseconds Core.WarmCaches spends installing
-//     each golden workload's steady-state cache image on a just-Reset
-//     core, the cost every run, sampling unit and fvpd job pays before
-//     its first simulated cycle.
+//  7. Per-run set-up: the milliseconds Program.BuildMemory spends on each
+//     golden workload's initial image, Core.Reset on a pooled core, and
+//     Core.WarmCaches installing the steady-state cache image, the costs
+//     every run, sampling unit and fvpd job pays before its first
+//     simulated cycle.
 //
 // With -gate the freshly measured suite throughputs are compared against a
 // recorded BENCH_core.json and the run exits nonzero on a >5% sim MIPS
@@ -78,6 +82,7 @@ import (
 	"fvp/internal/cluster"
 	"fvp/internal/core"
 	"fvp/internal/harness"
+	"fvp/internal/isa"
 	"fvp/internal/ooo"
 	"fvp/internal/prog"
 	"fvp/internal/simd"
@@ -108,6 +113,7 @@ const (
 const (
 	ffWorkload        = "omnetpp"
 	ffWarmInsts       = 100_000
+	execInsts         = 500_000
 	regionWorkload    = "omnetpp"
 	paperWarmInsts    = 100_000
 	paperMeasureInsts = 300_000
@@ -207,13 +213,29 @@ type SamplingSection struct {
 // FastForward is the warmup-phase throughput measurement: the same warmup
 // window driven once through the detailed pipeline and once through the
 // functional warming taps (ooo.Core.WarmFunctional), on a fresh core each
-// way. The speedup floor for the fast-forward subsystem is 5x.
+// way. The speedup floor for the fast-forward subsystem is 5x. Exec holds
+// the functional executor's own cost on each golden workload.
 type FastForward struct {
-	Workload             string  `json:"workload"`
-	WarmupInsts          uint64  `json:"warmup_insts"`
-	DetailedInstPerSec   float64 `json:"detailed_inst_per_sec"`
-	FunctionalInstPerSec float64 `json:"functional_inst_per_sec"`
-	Speedup              float64 `json:"speedup"`
+	Workload             string    `json:"workload"`
+	WarmupInsts          uint64    `json:"warmup_insts"`
+	DetailedInstPerSec   float64   `json:"detailed_inst_per_sec"`
+	FunctionalInstPerSec float64   `json:"functional_inst_per_sec"`
+	Speedup              float64   `json:"speedup"`
+	ExecInsts            uint64    `json:"exec_insts"`
+	ExecRepeats          int       `json:"exec_repeats"`
+	Exec                 []ExecRow `json:"exec"`
+}
+
+// ExecRow is one workload's functional-executor cost from a fresh Exec:
+// ns per instruction stepping with Exec.Next, which describes each
+// instruction, and scanning with Exec.Run(n, nil), which does not, as the
+// median and interquartile range of interleaved repeats.
+type ExecRow struct {
+	Workload      string  `json:"workload"`
+	NextNsPerInst float64 `json:"next_ns_per_inst"`
+	NextIQRNs     float64 `json:"next_iqr_ns"`
+	ScanNsPerInst float64 `json:"scan_ns_per_inst"`
+	ScanIQRNs     float64 `json:"scan_iqr_ns"`
 }
 
 // RegionRow is one point of the region-parallel scaling curve: the same
@@ -299,13 +321,17 @@ type RequestPlaneEnv struct {
 	ReplicateAfter int    `json:"replicate_after"`
 }
 
-// SetupRow is one workload's Core.WarmCaches cost: the median and the
-// interquartile range of Repeats interleaved timings, each on a core just
-// Reset.
+// SetupRow is one workload's set-up cost: Program.BuildMemory, Core.Reset
+// of a pooled core and Core.WarmCaches on it, each as the median and the
+// interquartile range of Repeats interleaved timings.
 type SetupRow struct {
-	Workload   string  `json:"workload"`
-	WarmMillis float64 `json:"warm_caches_ms"`
-	IQRMillis  float64 `json:"warm_caches_iqr_ms"`
+	Workload          string  `json:"workload"`
+	WarmMillis        float64 `json:"warm_caches_ms"`
+	IQRMillis         float64 `json:"warm_caches_iqr_ms"`
+	ResetMillis       float64 `json:"reset_ms"`
+	ResetIQRMillis    float64 `json:"reset_iqr_ms"`
+	BuildMemoryMillis float64 `json:"build_memory_ms"`
+	BuildMemoryIQR    float64 `json:"build_memory_iqr_ms"`
 }
 
 // SetupSection is the per-run set-up cost over the golden-matrix
@@ -686,10 +712,10 @@ func measureFastForward(wlName string, warmInsts uint64, ops int) FastForward {
 	return ff
 }
 
-// measureSetup times Core.WarmCaches for each named workload on one
-// Skylake core, Reset before every timing. The repeats are interleaved
-// (every workload once per round) so a slow stretch of the host spreads
-// over all rows instead of landing on one.
+// measureSetup times Program.BuildMemory, Core.Reset and Core.WarmCaches
+// for each named workload on one Skylake core, Reset before every warm. The
+// repeats are interleaved (every workload once per round) so a slow stretch
+// of the host spreads over all rows instead of landing on one.
 func measureSetup(names []string, repeats int) SetupSection {
 	type subject struct {
 		p  *prog.Program
@@ -705,24 +731,77 @@ func measureSetup(names []string, repeats int) SetupSection {
 		subs[i] = subject{p, prog.NewExec(p)}
 	}
 	c := ooo.New(ooo.Skylake(), vp.None{}, subs[0].ex, nil)
-	times := make([][]float64, len(names))
+	build, reset, warm := make([][]float64, len(names)), make([][]float64, len(names)), make([][]float64, len(names))
+	ms := func(start time.Time) float64 { return time.Since(start).Seconds() * 1e3 }
 	for r := 0; r < repeats; r++ {
 		for i, s := range subs {
-			c.Reset(vp.None{}, s.ex, nil)
 			start := time.Now()
+			mem := s.p.BuildMemory()
+			build[i] = append(build[i], ms(start))
+			start = time.Now()
+			c.Reset(vp.None{}, s.ex, mem)
+			reset[i] = append(reset[i], ms(start))
+			start = time.Now()
 			c.WarmCaches(s.p.WarmRanges)
-			times[i] = append(times[i], time.Since(start).Seconds()*1e3)
+			warm[i] = append(warm[i], ms(start))
 		}
 	}
 	sec := SetupSection{Core: "Skylake", Repeats: repeats}
 	for i, name := range names {
-		ts := times[i]
-		sort.Float64s(ts)
-		q := func(f float64) float64 { return ts[int(f*float64(len(ts)-1)+0.5)] }
-		sec.Rows = append(sec.Rows, SetupRow{Workload: name, WarmMillis: q(0.5), IQRMillis: q(0.75) - q(0.25)})
-		sec.MeanWarmMillis += q(0.5) / float64(len(names))
+		row := SetupRow{Workload: name}
+		row.WarmMillis, row.IQRMillis = medianIQR(warm[i])
+		row.ResetMillis, row.ResetIQRMillis = medianIQR(reset[i])
+		row.BuildMemoryMillis, row.BuildMemoryIQR = medianIQR(build[i])
+		sec.Rows = append(sec.Rows, row)
+		sec.MeanWarmMillis += row.WarmMillis / float64(len(names))
 	}
 	return sec
+}
+
+// measureExec times insts instructions of each named workload stepped with
+// Exec.Next and scanned with Exec.Run(insts, nil), each from a fresh Exec
+// built outside the timing, interleaved over repeats rounds.
+func measureExec(names []string, insts uint64, repeats int) []ExecRow {
+	progs := make([]*prog.Program, len(names))
+	for i, name := range names {
+		w, ok := workload.ByName(name)
+		if !ok {
+			fatalf("workload %q not found", name)
+		}
+		progs[i] = w.Build()
+	}
+	nsPerInst := func(start time.Time) float64 { return float64(time.Since(start).Nanoseconds()) / float64(insts) }
+	next := make([][]float64, len(names))
+	scan := make([][]float64, len(names))
+	var d isa.DynInst
+	for r := 0; r < repeats; r++ {
+		for i, p := range progs {
+			ex := prog.NewExec(p)
+			start := time.Now()
+			for n := uint64(0); n < insts && ex.Next(&d); n++ {
+			}
+			next[i] = append(next[i], nsPerInst(start))
+			ex = prog.NewExec(p)
+			start = time.Now()
+			ex.Run(insts, nil)
+			scan[i] = append(scan[i], nsPerInst(start))
+		}
+	}
+	rows := make([]ExecRow, len(names))
+	for i, name := range names {
+		rows[i].Workload = name
+		rows[i].NextNsPerInst, rows[i].NextIQRNs = medianIQR(next[i])
+		rows[i].ScanNsPerInst, rows[i].ScanIQRNs = medianIQR(scan[i])
+	}
+	return rows
+}
+
+// medianIQR returns the median and the interquartile range of ts, which it
+// sorts.
+func medianIQR(ts []float64) (median, iqr float64) {
+	sort.Float64s(ts)
+	q := func(f float64) float64 { return ts[int(f*float64(len(ts)-1)+0.5)] }
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 // measureParallelRegions runs one long (warmup, measure) slice split into
@@ -906,6 +985,19 @@ func main() {
 	fmt.Printf("  detailed %.0f inst/s vs functional %.0f inst/s: %.2fx\n",
 		ff.DetailedInstPerSec, ff.FunctionalInstPerSec, ff.Speedup)
 
+	golden := workload.GoldenMatrix()
+	ff.ExecInsts, ff.ExecRepeats = execInsts, 9
+	if *quick {
+		ff.ExecRepeats = 5
+	}
+	fmt.Printf("fvpbench: functional executor (%d golden workloads, %d insts, Exec.Next vs Exec.Run(n, nil), %d interleaved repeats)...\n",
+		len(golden), ff.ExecInsts, ff.ExecRepeats)
+	ff.Exec = measureExec(golden, ff.ExecInsts, ff.ExecRepeats)
+	for _, r := range ff.Exec {
+		fmt.Printf("  %-10s next %6.2f ns/inst (IQR %.2f)  scan %6.2f ns/inst (IQR %.2f)\n",
+			r.Workload, r.NextNsPerInst, r.NextIQRNs, r.ScanNsPerInst, r.ScanIQRNs)
+	}
+
 	paperOpt := opt
 	paperOpt.WarmupInsts, paperOpt.MeasureInsts = paperWarmInsts, paperMeasureInsts
 	if *quick {
@@ -925,12 +1017,12 @@ func main() {
 	if *quick {
 		setupRepeats = 5
 	}
-	golden := workload.GoldenMatrix()
-	fmt.Printf("fvpbench: per-run set-up (Core.WarmCaches on %d golden workloads, %d interleaved repeats)...\n",
+	fmt.Printf("fvpbench: per-run set-up (BuildMemory, Core.Reset, Core.WarmCaches on %d golden workloads, %d interleaved repeats)...\n",
 		len(golden), setupRepeats)
 	setup := measureSetup(golden, setupRepeats)
 	for _, r := range setup.Rows {
-		fmt.Printf("  %-10s %7.3f ms (IQR %.3f)\n", r.Workload, r.WarmMillis, r.IQRMillis)
+		fmt.Printf("  %-10s build %7.3f ms (IQR %.3f)  reset %7.3f ms (IQR %.3f)  warm %7.3f ms (IQR %.3f)\n", r.Workload,
+			r.BuildMemoryMillis, r.BuildMemoryIQR, r.ResetMillis, r.ResetIQRMillis, r.WarmMillis, r.IQRMillis)
 	}
 	fmt.Printf("  mean %.3f ms per warm\n", setup.MeanWarmMillis)
 

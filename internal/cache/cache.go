@@ -321,17 +321,18 @@ func (c *Cache) spanLines(s Span) (first, n uint64) {
 //
 // On such a cache every one of those fills is a clean insert or a re-fill of
 // a present line, which advances only the LRU clock, so each set behaves as a
-// FIFO: its k-th insert lands in way k mod Ways. WarmFill therefore writes
-// each line straight into its way. Only a span that overlaps an earlier one
-// can find a line present, and replayHits bounds where. Of the lines after
-// that, a span writes only the last C = sets×ways, which overwrite every way;
-// the clock and the per-set insert counts advance arithmetically over the
-// lines in between.
+// FIFO: its k-th insert lands in way k mod Ways, and the way of its next
+// insert is the one pickVictim names. WarmFill therefore writes each line
+// straight into its way. Only a span that overlaps an earlier one can find a
+// line present, and replayHits bounds where. Of the lines after that, a span
+// writes only the last C = sets×ways, which overwrite every way; the clock
+// and the per-set insert counts advance arithmetically over the lines in
+// between. fifoRun writes those lines set by set, in the order of the
+// set-major line slice.
 func (c *Cache) WarmFill(spans []Span) {
 	if c.tick != 0 {
 		panic("cache: WarmFill on " + c.cfg.Name + " after it was touched")
 	}
-	f := fifoWarm{c: c, ways: uint64(c.cfg.Ways), next: make([]uint64, c.setMask+1)}
 	capLines := uint64(len(c.lines))
 	for i, sp := range spans {
 		first, n := c.spanLines(sp)
@@ -341,55 +342,61 @@ func (c *Cache) WarmFill(spans []Span) {
 		var j uint64 // lines [0, j) may hit; no line from j on is present
 		for _, prev := range spans[:i] {
 			if pf, pn := c.spanLines(prev); pn > 0 && first < pf+pn && pf < first+n {
-				j = f.replayHits(first, n)
+				j = c.replayHits(first, n)
 				break
 			}
 		}
-		tail := j
+		var skip uint64
 		if n-j > capLines {
-			tail = n - capLines
+			skip = n - j - capLines
 		}
-		f.skip(first+j, tail-j)
-		for tag := first + tail; tag < first+n; tag++ {
-			f.insert(tag)
-		}
+		c.fifoRun(first+j, skip, n-j-skip)
 	}
 }
 
-// fifoWarm is the state of one WarmFill pass.
-type fifoWarm struct {
-	c    *Cache
-	ways uint64
-	next []uint64 // per set: the way its next insert lands in
-	left []uint64 // per set: inserts replayHits still checks for hits
-}
-
-func (f *fifoWarm) insert(tag uint64) {
-	c := f.c
+// fifoInsert inserts the line tag, not present, as Fill would.
+func (c *Cache) fifoInsert(tag uint64) {
 	c.tick++
-	s := tag & c.setMask
-	c.lines[s*f.ways+f.next[s]] = line{tag: tag, valid: true, lru: c.tick}
-	if f.next[s]++; f.next[s] == f.ways {
-		f.next[s] = 0
-	}
+	set := c.set(tag & c.setMask)
+	set[c.pickVictim(set)] = line{tag: tag, valid: true, lru: c.tick}
 }
 
-// skip accounts for inserting the n consecutive lines from first without
-// writing them.
-func (f *fifoWarm) skip(first, n uint64) {
-	f.c.tick += n
-	sets := uint64(len(f.next))
-	if q := n / sets % f.ways; q > 0 {
-		for s := range f.next {
-			f.next[s] = (f.next[s] + q) % f.ways
+// fifoRun accounts for inserting the skip+n consecutive lines from first,
+// none of them present, and writes the last n. skip is 0 unless n = C, so
+// the written lines overwrite every way.
+//
+// It writes set by set, so it walks the set-major line slice in order (but
+// for one wrap past set 0) and only over the min(n, sets) sets the lines
+// touch. Of the written lines, those in set s are start+i, start+i+sets, ...
+// for i = (s - start) mod sets, where start = first+skip. They take
+// consecutive ways from the way the set's next insert would take:
+// pickVictim's, advanced by the skipped lines that fell in s. The line
+// start+k gets lru tick+skip+1+k, the clock value its own insert would have
+// set.
+func (c *Cache) fifoRun(first, skip, n uint64) {
+	ways := uint64(c.cfg.Ways)
+	sets := c.setMask + 1
+	start := first + skip
+	lru := c.tick + skip + 1
+	for i := uint64(0); i < n && i < sets; i++ {
+		s := (start + i) & c.setMask
+		set := c.set(s)
+		w := uint64(c.pickVictim(set))
+		if skip > 0 {
+			skipped := skip / sets
+			if (s-first)&c.setMask < skip%sets {
+				skipped++
+			}
+			w = (w + skipped) % ways
+		}
+		for k := i; k < n; k += sets {
+			set[w] = line{tag: start + k, valid: true, lru: lru + k}
+			if w++; w == ways {
+				w = 0
+			}
 		}
 	}
-	for tag := first; tag < first+n%sets; tag++ {
-		s := tag & f.c.setMask
-		if f.next[s]++; f.next[s] == f.ways {
-			f.next[s] = 0
-		}
-	}
+	c.tick += skip + n
 }
 
 // replayHits fills the head of the span [first, first+n) that may re-fill a
@@ -402,22 +409,23 @@ func (f *fifoWarm) skip(first, n uint64) {
 // after s has taken `ways` inserts from the span no earlier line is left in
 // it. replayHits checks lines against their set only in such sets, and only
 // until then: at most 2C lines, and none when no set can take a hit.
-func (f *fifoWarm) replayHits(first, n uint64) uint64 {
-	c := f.c
-	if f.left == nil {
-		f.left = make([]uint64, len(f.next))
-	}
+func (c *Cache) replayHits(first, n uint64) uint64 {
+	ways := uint64(c.cfg.Ways)
 	setBits := bits.OnesCount64(c.setMask)
+	var left []uint64 // per set: inserts still checked for hits; nil until a set is watched
 	watched := 0
 	for j := uint64(0); j < n && j <= c.setMask; j++ {
 		s := (first + j) & c.setMask
-		f.left[s] = 0
 		set := c.set(s)
+		next := uint64(c.pickVictim(set))
 		for w := range set {
 			l := &set[w]
-			rank := (uint64(w) + f.ways - f.next[s]) % f.ways
+			rank := (uint64(w) + ways - next) % ways
 			if l.valid && l.tag-first < n && (l.tag-first)>>setBits <= rank {
-				f.left[s] = f.ways
+				if left == nil {
+					left = make([]uint64, c.setMask+1)
+				}
+				left[s] = ways
 				watched++
 				break
 			}
@@ -427,16 +435,16 @@ func (f *fifoWarm) replayHits(first, n uint64) uint64 {
 	for ; watched > 0 && j < n; j++ {
 		tag := first + j
 		s := tag & c.setMask
-		if f.left[s] > 0 {
+		if left[s] > 0 {
 			if present(c.set(s), tag) {
 				c.tick++
 				continue
 			}
-			if f.left[s]--; f.left[s] == 0 {
+			if left[s]--; left[s] == 0 {
 				watched--
 			}
 		}
-		f.insert(tag)
+		c.fifoInsert(tag)
 	}
 	return j
 }

@@ -149,6 +149,15 @@ func TestWarmRangesEdgeCases(t *testing.T) {
 		"tail overlap":       {{Base: 0x90000, Bytes: 4 * llc, Level: memsys.LvlL2}, {Base: 0x90000 + 4*llc - 200, Bytes: 4 * llc, Level: memsys.LvlL1}},
 		"covering overlap":   {{Base: 0xc0, Bytes: 816, Level: memsys.LvlL1}, {Base: 0x80, Bytes: 12336, Level: memsys.LvlL1}},
 		"levels ignored":     {{Base: 0xa0000, Bytes: 4096, Level: memsys.LvlMem}, {Base: 0xa0000, Bytes: 4096, Level: -1}},
+		// The set-major writes: a run that starts mid-way through the
+		// LLC's 32 sets and wraps past set 0 into sets an earlier range
+		// filled, a run shorter than every level's set count, and a run
+		// after a replayHits prefix that took hits, with and without a
+		// skipped middle.
+		"wrap past set 0":          {{Base: 0xd0000, Bytes: 50 * 64, Level: memsys.LvlLLC}, {Base: 0xe0000 + 20*64, Bytes: 40 * 64, Level: memsys.LvlLLC}},
+		"shorter than set":         {{Base: 0xf0000 + 5*64 + 8, Bytes: 4*64 + 10, Level: memsys.LvlL1}},
+		"tail after hits":          {{Base: 0x110000, Bytes: 40 * 64, Level: memsys.LvlLLC}, {Base: 0x110000 + 30*64, Bytes: 300 * 64, Level: memsys.LvlLLC}},
+		"tail after hits, no skip": {{Base: 0x120000, Bytes: 40 * 64, Level: memsys.LvlL2}, {Base: 0x120000 + 30*64, Bytes: 60 * 64, Level: memsys.LvlL2}},
 	}
 	var all []memsys.WarmRange
 	for name, ranges := range cases {

@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"fvp/internal/isa"
@@ -190,6 +192,75 @@ func TestExecMaxRestarts(t *testing.T) {
 	// is not emitted.
 	if n != 5 {
 		t.Errorf("executed %d instructions, want 5", n)
+	}
+}
+
+// stateDiff names the first architectural field in which a and b differ,
+// or returns "".
+func stateDiff(a, b *Exec) string {
+	switch {
+	case a.regs != b.regs:
+		return "regs"
+	case a.pc != b.pc:
+		return "pc"
+	case a.seq != b.seq:
+		return "seq"
+	case !slices.Equal(a.stack, b.stack):
+		return "stack"
+	case a.halted != b.halted:
+		return "halted"
+	case a.restarts != b.restarts:
+		return "restarts"
+	case !reflect.DeepEqual(a.mem.pages, b.mem.pages):
+		return "memory"
+	}
+	return ""
+}
+
+// TestRunWithoutEmitHalts checks the describe-free path of Run against Next
+// where the fuzzer cannot reach: a program that stops at FnHalt because
+// MaxRestarts ran out, with a call outstanding and a call that writes a
+// link register. For each budget and length, Run(n, nil) must execute as
+// many instructions as Next and leave the same state, halt included.
+func TestRunWithoutEmitHalts(t *testing.T) {
+	p := &Program{
+		Name: "halt",
+		Code: []Inst{
+			{Fn: FnAdd, Dst: 1, Src1: 1, Imm: 1},
+			{Fn: FnStore, Src1: 2, Src2: 1, Imm: 0x100},
+			{Fn: FnCall, Dst: 3, Target: 4},
+			{Fn: FnHalt},
+			{Fn: FnLoad, Dst: 4, Src1: 2, Imm: 0x100},
+			{Fn: FnAnd, Dst: 5, Src1: 4, Imm: 1},
+			{Fn: FnBNZ, Src1: 5, Target: 8}, // odd passes return first
+			{Fn: FnHalt},                    // even passes halt inside the call
+			{Fn: FnRet},
+		},
+		CodeBase: 0x400000,
+		InitRegs: map[isa.Reg]uint64{2: 0x8000},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, restarts := range []int{0, 1, 3} {
+		for _, n := range []uint64{0, 1, 7, 8, 16, 100} {
+			next, skip := NewExec(p), NewExec(p)
+			next.MaxRestarts, skip.MaxRestarts = restarts, restarts
+			var want uint64
+			var d isa.DynInst
+			for want < n && next.Next(&d) {
+				want++
+			}
+			if got := skip.Run(n, nil); got != want {
+				t.Fatalf("MaxRestarts %d, n %d: Run(n, nil) executed %d, Next %d", restarts, n, got, want)
+			}
+			if f := stateDiff(next, skip); f != "" {
+				t.Fatalf("MaxRestarts %d, n %d: Run(n, nil) and Next leave different %s", restarts, n, f)
+			}
+			if skip.halted && (skip.Run(1, nil) != 0 || skip.Next(&d)) {
+				t.Fatalf("MaxRestarts %d: halted executor ran on", restarts)
+			}
+		}
 	}
 }
 

@@ -85,6 +85,35 @@ func (m *Memory) Write(addr, v uint64) {
 	p.words[(addr>>3)&wordMask] = v
 }
 
+// Fill writes v at base, base+8, ... below base+bytes, leaving the same
+// image a Write at each of those addresses would. A page the range covers
+// whole and that does not exist yet is built directly, without first
+// filling it from the background; every other word goes through Write.
+func (m *Memory) Fill(base, bytes, v uint64) {
+	if bytes == 0 {
+		return
+	}
+	// The addresses base+8i write the words base/8 + i.
+	w, end := base>>3, base>>3+(bytes+7)>>3
+	for w < end {
+		key := w >> (pageShift - 3)
+		pageEnd := (key + 1) << (pageShift - 3)
+		if w&wordMask == 0 && end >= pageEnd && m.pages[key] == nil {
+			p := new(memPage)
+			p.refs.Store(1)
+			for i := range p.words {
+				p.words[i] = v
+			}
+			m.pages[key] = p
+			w = pageEnd
+			continue
+		}
+		for stop := min(end, pageEnd); w < stop; w++ {
+			m.Write(w<<3, v)
+		}
+	}
+}
+
 // Clone returns a copy-on-write snapshot: the clone and the receiver share
 // all current pages, and whichever side writes a shared page first copies
 // just that page. Observationally this is a deep copy (the timing model's
@@ -102,7 +131,7 @@ func (m *Memory) Clone() *Memory {
 	return c
 }
 
-// Pages returns the number of allocated pages (footprint/8 KiB roughly).
+// Pages returns the number of allocated pages (footprint/4 KiB roughly).
 func (m *Memory) Pages() int { return len(m.pages) }
 
 // SharedPages returns how many of the allocated pages are currently shared

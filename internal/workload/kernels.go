@@ -196,21 +196,13 @@ func (k *kernelBuilder) finish() *prog.Program {
 		half := warm / 2
 		p.InitMem[cfgBase+24] = half - 1
 		p.InitFunc = func(m *prog.Memory) {
-			for a := uint64(warmBase); a < warmBase+half; a += 8 {
-				m.Write(a, half-1)
-			}
-			for a := warmBase + half; a < warmBase+warm; a += 8 {
-				m.Write(a, cold-1)
-			}
+			m.Fill(warmBase, half, half-1)
+			m.Fill(warmBase+half, warm-half, cold-1)
 		}
 	case k.p.WarmPtr:
 		// Uniform pointer table: every word holds the cold mask
 		// (replicated base-pointer value locality).
-		p.InitFunc = func(m *prog.Memory) {
-			for a := uint64(warmBase); a < warmBase+warm; a += 8 {
-				m.Write(a, cold-1)
-			}
-		}
+		p.InitFunc = func(m *prog.Memory) { m.Fill(warmBase, warm, cold-1) }
 	}
 	// Steady-state cache image: the warm table lives in the LLC (and L2
 	// when it fits); an LLC-sized-or-smaller "cold" region is LLC

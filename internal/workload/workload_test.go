@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"fvp/internal/isa"
@@ -42,6 +43,24 @@ func TestNamesUniqueAndResolvable(t *testing.T) {
 	}
 	if len(Names()) != 60 {
 		t.Errorf("Names() returned %d entries", len(Names()))
+	}
+}
+
+// TestByNameUsesTable checks that ByName allocates nothing and returns, for
+// every name, the entry All lists: same name, category and program.
+func TestByNameUsesTable(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ByName("mcf-17") }); n != 0 {
+		t.Errorf("ByName allocates %.0f times per call, want 0", n)
+	}
+	for _, want := range All() {
+		got, ok := ByName(want.Name)
+		if !ok || got.Name != want.Name || got.Category != want.Category {
+			t.Fatalf("ByName(%q) = %q/%s, %v; All lists %q/%s", want.Name, got.Name, got.Category, ok, want.Name, want.Category)
+		}
+		gp, wp := got.Build(), want.Build()
+		if !reflect.DeepEqual(gp.Code, wp.Code) || !reflect.DeepEqual(gp.WarmRanges, wp.WarmRanges) {
+			t.Errorf("ByName(%q) builds a different program than All's entry", want.Name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fvp/internal/prog"
@@ -118,11 +119,11 @@ var defs = []def{
 	{"specpower-ssj2", Server, buildHash, Params{Seed: 416, BgLoads: 4, ColdBytes: 16 * MB, WarmBytes: 2 * MB, CodeBlocks: 4, SpillDist: 8, Unroll: 8}},
 }
 
-// All returns the 60-workload study list in definition order.
-func All() []Workload {
+// table is the study list as Workloads, built once: All copies it and
+// ByName looks names up in it.
+var table = func() []Workload {
 	out := make([]Workload, len(defs))
 	for i, d := range defs {
-		d := d
 		out[i] = Workload{
 			Name:     d.name,
 			Category: d.cat,
@@ -130,7 +131,10 @@ func All() []Workload {
 		}
 	}
 	return out
-}
+}()
+
+// All returns the 60-workload study list in definition order.
+func All() []Workload { return slices.Clone(table) }
 
 // GoldenMatrix returns the names of the 13-workload golden-stat matrix: a
 // representative slice of the study list in which every builder template
@@ -151,7 +155,7 @@ func GoldenMatrix() []string {
 // ByCategory returns the workloads of one family.
 func ByCategory(c Category) []Workload {
 	var out []Workload
-	for _, w := range All() {
+	for _, w := range table {
 		if w.Category == c {
 			out = append(out, w)
 		}
@@ -161,7 +165,7 @@ func ByCategory(c Category) []Workload {
 
 // ByName finds a workload by its name.
 func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
+	for _, w := range table {
 		if w.Name == name {
 			return w, true
 		}
