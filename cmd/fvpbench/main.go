@@ -818,7 +818,7 @@ func measureParallelRegions(wlName string, warm, measure uint64) ParallelRegions
 	}
 	for _, k := range []int{1, 2, 4, 8} {
 		opt := harness.Options{
-			WarmupInsts: warm, MeasureInsts: measure, ReuseCores: true,
+			WarmupInsts: warm, MeasureInsts: measure,
 			WarmupMode: harness.WarmupFunctional,
 		}
 		if k > 1 {
@@ -850,7 +850,7 @@ func measureSampledRun(wlName string, warm, measure uint64, units int, unitInsts
 	if !ok {
 		fatalf("workload %q not found", wlName)
 	}
-	opt := harness.Options{WarmupInsts: warm, MeasureInsts: measure, ReuseCores: true}
+	opt := harness.Options{WarmupInsts: warm, MeasureInsts: measure}
 	start := time.Now()
 	full := harness.RunOne(w, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
 	fullWall := time.Since(start).Seconds()
@@ -946,7 +946,7 @@ func main() {
 	}
 
 	ws := workload.All()
-	opt := harness.Options{WarmupInsts: 20_000, MeasureInsts: 60_000, ReuseCores: true}
+	opt := harness.Options{WarmupInsts: 20_000, MeasureInsts: 60_000}
 	if *quick {
 		ws = ws[:8]
 		*ops = 8

@@ -146,6 +146,14 @@ func main() {
 	ctx := context.Background()
 
 	if *suite {
+		// The suite sweep runs locally and reports a table, so it takes
+		// none of the single-run output, tap or daemon flags.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "server", "tenant", "regions", "json", "trace", "intervals":
+				fail(fmt.Errorf("-%s is not supported with -suite", f.Name))
+			}
+		})
 		runSuite(ctx, *wl, *machine, *pred, *warmup, *insts, *warmMode, *parallel, *sampUnits, *sampCI, *sampSeed)
 		return
 	}

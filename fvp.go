@@ -67,7 +67,7 @@ func NewPipeTrace(maxInsts int) *PipeTrace { return telemetry.NewPipeTrace(maxIn
 // plausible. Callers that translate errors into protocol responses (the
 // fvpd service maps it to HTTP 400) can detect it with errors.As.
 type UnknownNameError struct {
-	// Kind is "workload", "machine", or "predictor".
+	// Kind is "workload", "machine", "predictor", or "warmup mode".
 	Kind string
 	// Name is the value that failed to resolve.
 	Name string
@@ -98,10 +98,9 @@ func workloadNames() []string {
 }
 
 func predictorNames() []string {
-	ps := Predictors()
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = string(p)
+	out := make([]string, len(predictors))
+	for i, p := range predictors {
+		out[i] = string(p.name)
 	}
 	return out
 }
@@ -165,48 +164,52 @@ const (
 	PredEVES Predictor = "eves"
 )
 
-// Predictors lists every named configuration.
-func Predictors() []Predictor {
-	return []Predictor{
-		PredNone, PredFVP, PredFVPRegOnly, PredFVPMemOnly, PredFVPL1Miss,
-		PredFVPL1MissOnly, PredFVPOracle, PredMR8KB, PredMR1KB,
-		PredComposite8KB, PredComposite1KB, PredLVP, PredStride,
-		PredVTAGE, PredEVES,
-	}
+// predictors is every named configuration in listing order, with the
+// harness spec that builds it.
+var predictors = [...]struct {
+	name Predictor
+	spec harness.Spec
+}{
+	{PredNone, harness.SpecNone},
+	{PredFVP, harness.SpecFVP},
+	{PredFVPRegOnly, harness.SpecFVPRegOnly},
+	{PredFVPMemOnly, harness.SpecFVPMemOnly},
+	{PredFVPL1Miss, harness.SpecFVPL1Miss},
+	{PredFVPL1MissOnly, harness.SpecFVPL1MissOnl},
+	{PredFVPOracle, harness.SpecFVPOracle},
+	{PredMR8KB, harness.SpecMR8KB},
+	{PredMR1KB, harness.SpecMR1KB},
+	{PredComposite8KB, harness.SpecComp8KB},
+	{PredComposite1KB, harness.SpecComp1KB},
+	{PredLVP, harness.SpecLVP},
+	{PredStride, harness.SpecStride},
+	{PredVTAGE, harness.SpecVTAGE},
+	{PredEVES, harness.SpecEVES},
 }
 
+// Predictors lists every named configuration.
+func Predictors() []Predictor {
+	out := make([]Predictor, len(predictors))
+	for i, p := range predictors {
+		out[i] = p.name
+	}
+	return out
+}
+
+// predFactory resolves a predictor name; the baseline ("" or PredNone)
+// runs without a predictor and gets a nil factory.
 func predFactory(p Predictor) (harness.PredFactory, error) {
-	switch p {
-	case PredNone, "":
+	if p == "" {
 		return nil, nil
-	case PredFVP:
-		return harness.Factory(harness.SpecFVP), nil
-	case PredFVPRegOnly:
-		return harness.Factory(harness.SpecFVPRegOnly), nil
-	case PredFVPMemOnly:
-		return harness.Factory(harness.SpecFVPMemOnly), nil
-	case PredFVPL1Miss:
-		return harness.Factory(harness.SpecFVPL1Miss), nil
-	case PredFVPL1MissOnly:
-		return harness.Factory(harness.SpecFVPL1MissOnl), nil
-	case PredFVPOracle:
-		return harness.Factory(harness.SpecFVPOracle), nil
-	case PredMR8KB:
-		return harness.Factory(harness.SpecMR8KB), nil
-	case PredMR1KB:
-		return harness.Factory(harness.SpecMR1KB), nil
-	case PredComposite8KB:
-		return harness.Factory(harness.SpecComp8KB), nil
-	case PredComposite1KB:
-		return harness.Factory(harness.SpecComp1KB), nil
-	case PredLVP:
-		return harness.Factory(harness.SpecLVP), nil
-	case PredStride:
-		return harness.Factory(harness.SpecStride), nil
-	case PredVTAGE:
-		return harness.Factory(harness.SpecVTAGE), nil
-	case PredEVES:
-		return harness.Factory(harness.SpecEVES), nil
+	}
+	for _, e := range predictors {
+		if e.name != p {
+			continue
+		}
+		if e.spec == harness.SpecNone {
+			return nil, nil
+		}
+		return harness.Factory(e.spec), nil
 	}
 	return nil, unknownName("predictor", string(p), predictorNames())
 }
@@ -327,7 +330,7 @@ func (s RunSpec) Normalized() RunSpec {
 	if s.Regions < 1 {
 		s.Regions = 1
 	}
-	if s.SampleUnits != 0 || s.SampleTargetCI != 0 {
+	if s.sampled() {
 		if s.SampleUnits == 0 {
 			s.SampleUnits = sample.DefaultUnits
 		}
@@ -392,7 +395,9 @@ func (e *InvalidSpecError) Error() string {
 // an *UnknownNameError (with a did-you-mean hint) for the first field
 // that doesn't resolve, or an *InvalidSpecError for a field whose value
 // is out of range. Services use it to reject bad requests before queueing
-// work.
+// work. The façade checks only names and budget caps; which run shapes
+// are valid is harness.Options.Validate's rule, reported here under the
+// spec's wire field names.
 func Validate(spec RunSpec) error {
 	if _, ok := workload.ByName(spec.Workload); !ok {
 		return unknownName("workload", spec.Workload, workloadNames())
@@ -403,95 +408,60 @@ func Validate(spec RunSpec) error {
 	if _, err := predFactory(spec.Predictor); err != nil {
 		return err
 	}
-	if spec.WarmupInsts > MaxWarmupInsts {
-		return &InvalidSpecError{Field: "warmup_insts", Value: spec.WarmupInsts, Limit: MaxWarmupInsts}
+	// The caps read the options a run would get, so an unsampled spec's
+	// sample_* fields are ignored. Negative counts are malformed rather
+	// than over budget: they pass as 0 and harness names the reason.
+	opt := spec.options()
+	caps := [...]struct {
+		field        string
+		value, limit uint64
+	}{
+		{"warmup_insts", opt.WarmupInsts, MaxWarmupInsts},
+		{"measure_insts", opt.MeasureInsts, MaxMeasureInsts},
+		{"regions", count(opt.Regions), MaxRegions},
+		{"sample_units", count(opt.Sampling.Units), MaxSampleUnits},
+		{"sample_max_units", count(opt.Sampling.MaxUnits), MaxSampleUnits},
+		{"sample_unit_insts", opt.Sampling.UnitInsts, MaxMeasureInsts},
+		{"sample_warmup_insts", opt.Sampling.WarmupInsts, MaxWarmupInsts},
 	}
-	if spec.MeasureInsts > MaxMeasureInsts {
-		return &InvalidSpecError{Field: "measure_insts", Value: spec.MeasureInsts, Limit: MaxMeasureInsts}
+	for _, c := range caps {
+		if c.value > c.limit {
+			return &InvalidSpecError{Field: c.field, Value: c.value, Limit: c.limit}
+		}
 	}
-	switch spec.WarmupMode {
-	case "", string(harness.WarmupDetailed), string(harness.WarmupFunctional):
-	default:
+	err := opt.Validate()
+	ie, ok := err.(*harness.InvalidOptionsError)
+	if !ok {
+		return err
+	}
+	if ie.Field == "WarmupMode" {
 		return unknownName("warmup mode", spec.WarmupMode, harness.WarmupModes())
 	}
-	if spec.Regions < 0 {
-		return &InvalidSpecError{Field: "regions", Reason: "region count < 1"}
+	field, ok := wireFields[ie.Field]
+	if !ok {
+		field = ie.Field
 	}
-	if spec.Regions > MaxRegions {
-		return &InvalidSpecError{Field: "regions", Value: uint64(spec.Regions), Limit: MaxRegions}
-	}
-	if spec.Regions > 1 {
-		if measure := spec.Normalized().MeasureInsts; uint64(spec.Regions) > measure {
-			return &InvalidSpecError{
-				Field: "regions", Value: uint64(spec.Regions), Limit: measure,
-				Reason: "more regions than measured instructions",
-			}
-		}
-		if spec.Observer != nil || spec.Tracer != nil {
-			return &InvalidSpecError{
-				Field:  "regions",
-				Reason: "per-interval observation requires a single region",
-			}
-		}
-	}
-	return validateSampling(spec)
+	return &InvalidSpecError{Field: field, Value: ie.Value, Limit: ie.Limit, Reason: ie.Reason}
 }
 
-// validateSampling checks the sample_* spec fields (no-op when sampling is
-// disabled). The structural rules mirror harness.Options.Validate so bad
-// requests are rejected at the service boundary, before queueing.
-func validateSampling(spec RunSpec) error {
-	if spec.SampleUnits == 0 && spec.SampleTargetCI == 0 {
-		return nil
-	}
-	if spec.SampleUnits < 0 || spec.SampleUnits == 1 {
-		return &InvalidSpecError{
-			Field:  "sample_units",
-			Reason: "at least two sample units are needed for a variance estimate",
-		}
-	}
-	if spec.SampleUnits > MaxSampleUnits {
-		return &InvalidSpecError{Field: "sample_units", Value: uint64(spec.SampleUnits), Limit: MaxSampleUnits}
-	}
-	if spec.SampleTargetCI < 0 || spec.SampleTargetCI >= 1 {
-		return &InvalidSpecError{
-			Field:  "sample_target_ci",
-			Reason: fmt.Sprintf("relative CI target %v outside [0, 1)", spec.SampleTargetCI),
-		}
-	}
-	if spec.SampleMaxUnits < 0 {
-		return &InvalidSpecError{Field: "sample_max_units", Reason: "unit cap < 0"}
-	}
-	if spec.SampleMaxUnits > MaxSampleUnits {
-		return &InvalidSpecError{Field: "sample_max_units", Value: uint64(spec.SampleMaxUnits), Limit: MaxSampleUnits}
-	}
-	if spec.SampleUnitInsts > MaxMeasureInsts {
-		return &InvalidSpecError{Field: "sample_unit_insts", Value: spec.SampleUnitInsts, Limit: MaxMeasureInsts}
-	}
-	if spec.SampleWarmupInsts > MaxWarmupInsts {
-		return &InvalidSpecError{Field: "sample_warmup_insts", Value: spec.SampleWarmupInsts, Limit: MaxWarmupInsts}
-	}
-	n := spec.Normalized()
-	if budget := uint64(n.SampleUnits) * n.SampleUnitInsts; budget > n.MeasureInsts {
-		return &InvalidSpecError{
-			Field: "sample_units", Value: budget, Limit: n.MeasureInsts,
-			Reason: "detailed budget sample_units*sample_unit_insts exceeds the measured region",
-		}
-	}
-	if spec.Regions > 1 {
-		return &InvalidSpecError{
-			Field:  "sample_units",
-			Reason: "sampling and region-parallel runs are mutually exclusive",
-		}
-	}
-	if spec.Observer != nil || spec.Tracer != nil {
-		return &InvalidSpecError{
-			Field:  "sample_units",
-			Reason: "per-interval observation requires a contiguous (non-sampled) run",
-		}
-	}
-	return nil
+// wireFields maps the harness.Options fields a RunSpec sets to their wire
+// names. A rule on the sampling plan as a whole is reported on
+// sample_units, the field that turns sampling on.
+var wireFields = map[string]string{
+	"WarmupInsts":       "warmup_insts",
+	"MeasureInsts":      "measure_insts",
+	"Regions":           "regions",
+	"Sampling":          "sample_units",
+	"Sampling.Units":    "sample_units",
+	"Sampling.TargetCI": "sample_target_ci",
+	"Sampling.MaxUnits": "sample_max_units",
 }
+
+// count reads a signed count against an unsigned cap, negatives as 0.
+func count(n int) uint64 { return uint64(max(n, 0)) }
+
+// sampled reports whether the spec asks for a sampled run.
+func (s RunSpec) sampled() bool { return s.SampleUnits != 0 || s.SampleTargetCI != 0 }
 
 // Metrics is the measured outcome of a run. The JSON field names are the
 // wire schema of the fvpd service and fvpsim -json.
@@ -595,13 +565,11 @@ func (s RunSpec) options() harness.Options {
 	if s.WarmupMode != "" {
 		opt.WarmupMode = harness.WarmupMode(s.WarmupMode)
 	}
-	if s.Regions > 0 {
-		opt.Regions = s.Regions
-	}
+	opt.Regions = s.Regions
 	if s.RegionWorkers > 0 {
 		opt.RegionWorkers = s.RegionWorkers
 	}
-	if s.SampleUnits != 0 || s.SampleTargetCI != 0 {
+	if s.sampled() {
 		opt.Sampling = harness.Sampling{
 			Units:       s.SampleUnits,
 			UnitInsts:   s.SampleUnitInsts,
@@ -679,14 +647,8 @@ func RunContext(ctx context.Context, spec RunSpec) (Metrics, error) {
 		return Metrics{}, err
 	}
 	w, _ := workload.ByName(spec.Workload)
-	cfg, err := coreConfig(spec.Machine)
-	if err != nil {
-		return Metrics{}, err
-	}
-	pf, err := predFactory(spec.Predictor)
-	if err != nil {
-		return Metrics{}, err
-	}
+	cfg, _ := coreConfig(spec.Machine)
+	pf, _ := predFactory(spec.Predictor)
 	r, err := harness.RunOneCtx(ctx, w, cfg, pf, spec.options())
 	if err != nil {
 		return Metrics{}, err
@@ -820,43 +782,25 @@ type SuiteSpec struct {
 // order. ctx cancellation stops every in-flight simulation within a few
 // thousand simulated cycles.
 func CompareSuiteContext(ctx context.Context, spec SuiteSpec) ([]Comparison, error) {
-	cfg, err := coreConfig(spec.Machine)
-	if err != nil {
-		return nil, err
+	names := spec.Workloads
+	if len(names) == 0 {
+		names = workloadNames()
 	}
-	pf, err := predFactory(spec.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	if spec.WarmupInsts > MaxWarmupInsts {
-		return nil, &InvalidSpecError{Field: "warmup_insts", Value: spec.WarmupInsts, Limit: MaxWarmupInsts}
-	}
-	if spec.MeasureInsts > MaxMeasureInsts {
-		return nil, &InvalidSpecError{Field: "measure_insts", Value: spec.MeasureInsts, Limit: MaxMeasureInsts}
-	}
-	switch spec.WarmupMode {
-	case "", string(harness.WarmupDetailed), string(harness.WarmupFunctional):
-	default:
-		return nil, unknownName("warmup mode", spec.WarmupMode, harness.WarmupModes())
-	}
-	ws := workload.All()
-	if len(spec.Workloads) > 0 {
-		ws = make([]workload.Workload, len(spec.Workloads))
-		for i, name := range spec.Workloads {
-			w, ok := workload.ByName(name)
-			if !ok {
-				return nil, unknownName("workload", name, workloadNames())
-			}
-			ws[i] = w
-		}
-	}
-	runSpec := RunSpec{WarmupInsts: spec.WarmupInsts, MeasureInsts: spec.MeasureInsts,
+	runSpec := RunSpec{Machine: spec.Machine, Predictor: spec.Predictor,
+		WarmupInsts: spec.WarmupInsts, MeasureInsts: spec.MeasureInsts,
 		WarmupMode:  spec.WarmupMode,
 		SampleUnits: spec.SampleUnits, SampleUnitInsts: spec.SampleUnitInsts,
 		SampleTargetCI: spec.SampleTargetCI, SampleSeed: spec.SampleSeed}
-	if err := validateSampling(runSpec); err != nil {
-		return nil, err
+	ws := make([]workload.Workload, len(names))
+	for i, name := range names {
+		runSpec.Workload = name
+		if err := Validate(runSpec); err != nil {
+			return nil, err
+		}
+		ws[i], _ = workload.ByName(name)
 	}
+	cfg, _ := coreConfig(spec.Machine)
+	pf, _ := predFactory(spec.Predictor)
 	opt := runSpec.options()
 	opt.Parallelism = spec.Parallelism
 	pairs, err := harness.RunComparisonCtx(ctx, ws, cfg, pf, opt)

@@ -1,8 +1,10 @@
 package fvp
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,7 +45,26 @@ func TestValidateSampling(t *testing.T) {
 			s.SampleUnits = 4
 			s.Observer = observerFunc(func(IntervalMetrics) {})
 		}, true, "sample_units"},
+		{"with tracer", func(s *RunSpec) {
+			s.SampleUnits = 4
+			s.Tracer = NewPipeTrace(16)
+		}, true, "sample_units"},
+		{"negative target", func(s *RunSpec) { s.SampleTargetCI = -0.1 }, true, "sample_target_ci"},
+		{"max over cap", func(s *RunSpec) {
+			s.SampleUnits = 4
+			s.SampleMaxUnits = MaxSampleUnits + 1
+		}, true, "sample_max_units"},
+		{"unit length over cap", func(s *RunSpec) {
+			s.SampleUnits = 4
+			s.SampleUnitInsts = MaxMeasureInsts + 1
+		}, true, "sample_unit_insts"},
+		{"unit warmup over cap", func(s *RunSpec) {
+			s.SampleUnits = 4
+			s.SampleWarmupInsts = MaxWarmupInsts + 1
+		}, true, "sample_warmup_insts"},
+		{"caps ignored unsampled", func(s *RunSpec) { s.SampleMaxUnits = MaxSampleUnits + 1 }, false, ""},
 	}
+	wire := wireNames()
 	for _, c := range cases {
 		s := base
 		c.mutate(&s)
@@ -62,7 +83,32 @@ func TestValidateSampling(t *testing.T) {
 		if ise.Field != c.field {
 			t.Errorf("%s: field = %q, want %q", c.name, ise.Field, c.field)
 		}
+		if !wire[ise.Field] {
+			t.Errorf("%s: field %q is not a RunSpec wire name", c.name, ise.Field)
+		}
 	}
+
+	// The unit minimum is a reason, not a cap, and the message must say it.
+	s := base
+	s.SampleUnits = 1
+	err := Validate(s)
+	var ise *InvalidSpecError
+	if !errors.As(err, &ise) || ise.Value != 0 || ise.Limit != 0 ||
+		!strings.Contains(err.Error(), "at least two sample units") {
+		t.Errorf("one unit: err = %#v (%v), want the variance-estimate reason", ise, err)
+	}
+}
+
+// wireNames is the set of RunSpec's JSON field names.
+func wireNames() map[string]bool {
+	names := map[string]bool{}
+	rt := reflect.TypeOf(RunSpec{})
+	for i := 0; i < rt.NumField(); i++ {
+		if name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); name != "-" {
+			names[name] = true
+		}
+	}
+	return names
 }
 
 // A spec that relies on sampling defaults and one that spells them out must
@@ -159,7 +205,7 @@ func TestToRecordSamplingFields(t *testing.T) {
 
 // The suite sweep must propagate sampling to every run of both arms.
 func TestCompareSuiteSampled(t *testing.T) {
-	cs, err := CompareSuiteContext(t.Context(), SuiteSpec{
+	cs, err := CompareSuiteContext(context.Background(), SuiteSpec{
 		Predictor:   PredFVP,
 		WarmupInsts: 2_000, MeasureInsts: 100_000,
 		Workloads:   []string{"mcf", "hmmer"},
@@ -182,11 +228,15 @@ func TestCompareSuiteSampled(t *testing.T) {
 		}
 	}
 	// Invalid sampling shapes must be rejected up front.
-	_, err = CompareSuiteContext(t.Context(), SuiteSpec{
+	_, err = CompareSuiteContext(context.Background(), SuiteSpec{
 		Workloads: []string{"mcf"}, SampleUnits: 1,
 	})
 	var ise *InvalidSpecError
 	if !errors.As(err, &ise) {
 		t.Errorf("suite with 1 unit: err = %v, want *InvalidSpecError", err)
 	}
+	suiteRejects(t,
+		SuiteSpec{Workloads: []string{"mcf"}, MeasureInsts: 10_000, SampleUnits: 4, SampleUnitInsts: 5_000},
+		RunSpec{Workload: "mcf", MeasureInsts: 10_000, SampleUnits: 4, SampleUnitInsts: 5_000},
+		"sample_units")
 }

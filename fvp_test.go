@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -184,11 +185,52 @@ func TestCompareSuiteContextSubset(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown workload in subset must error")
 	}
+	suiteRejects(t, SuiteSpec{Predictor: "fvq", Workloads: []string{"mcf"}},
+		RunSpec{Workload: "mcf", Predictor: "fvq"}, "predictor")
+	suiteRejects(t, SuiteSpec{WarmupMode: "fnctional", Workloads: []string{"mcf"}},
+		RunSpec{Workload: "mcf", WarmupMode: "fnctional"}, "warmup mode")
+	suiteRejects(t, SuiteSpec{MeasureInsts: MaxMeasureInsts + 1, Workloads: []string{"mcf"}},
+		RunSpec{Workload: "mcf", MeasureInsts: MaxMeasureInsts + 1}, "measure_insts")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := CompareSuiteContext(ctx, SuiteSpec{Predictor: PredFVP,
 		Workloads: []string{"hmmer"}, MeasureInsts: 10_000}); err == nil {
 		t.Error("canceled context must error")
+	}
+}
+
+// suiteRejects checks that suite fails up front exactly as Validate fails
+// on run, one of its runs, with an error naming want: the Kind of an
+// *UnknownNameError or the Field of an *InvalidSpecError.
+func suiteRejects(t *testing.T, suite SuiteSpec, run RunSpec, want string) {
+	t.Helper()
+	_, err := CompareSuiteContext(context.Background(), suite)
+	if one := Validate(run); !reflect.DeepEqual(err, one) {
+		t.Errorf("suite %+v: err = %v, want %v as Validate gives", suite, err, one)
+	}
+	var une *UnknownNameError
+	var ise *InvalidSpecError
+	got := ""
+	if errors.As(err, &une) {
+		got = une.Kind
+	} else if errors.As(err, &ise) {
+		got = ise.Field
+	}
+	if got != want {
+		t.Errorf("suite %+v: err = %v names %q, want %q", suite, err, got, want)
+	}
+}
+
+// Validate runs on every fvpd submit and every library run, so a valid
+// spec must not allocate.
+func TestValidateAllocs(t *testing.T) {
+	for _, spec := range []RunSpec{
+		{Workload: "omnetpp", Machine: Skylake2X, Predictor: PredFVP, WarmupInsts: 5_000, MeasureInsts: 20_000},
+		{Workload: "omnetpp", Predictor: PredFVP, MeasureInsts: 100_000, SampleUnits: 4, SampleUnitInsts: 1_000},
+	} {
+		if n := testing.AllocsPerRun(100, func() { _ = Validate(spec) }); n != 0 {
+			t.Errorf("Validate(%+v): %v allocs per call, want 0", spec, n)
+		}
 	}
 }
 

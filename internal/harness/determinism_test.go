@@ -32,11 +32,9 @@ func determinismWorkloads(t *testing.T) []workload.Workload {
 
 func TestRunSuiteDeterministicAcrossParallelism(t *testing.T) {
 	ws := determinismWorkloads(t)
-	opt := Options{
-		WarmupInsts:  5_000,
-		MeasureInsts: 20_000,
-		ReuseCores:   true, // exercise the core pool under contention
-	}
+	// Every run draws a pooled core, so higher parallelism exercises the
+	// pool under contention.
+	opt := Options{WarmupInsts: 5_000, MeasureInsts: 20_000}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
 
 	for _, spec := range []Spec{SpecNone, SpecFVP} {
@@ -64,21 +62,23 @@ func TestRunSuiteDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestReuseCoresMatchesFresh pins the pooled path to the non-pooled one:
-// core reuse is an allocation optimization and must never change results.
+// TestReuseCoresMatchesFresh pins the pooled path to fresh cores: core
+// reuse is an allocation optimization and must never change results.
 func TestReuseCoresMatchesFresh(t *testing.T) {
 	ws := determinismWorkloads(t)[:4]
-	base := Options{WarmupInsts: 5_000, MeasureInsts: 20_000, Parallelism: 2}
-
-	fresh, pooled := base, base
-	fresh.ReuseCores = false
-	pooled.ReuseCores = true
+	opt := Options{WarmupInsts: 5_000, MeasureInsts: 20_000, Parallelism: 2}
 
 	pf := Factory(SpecFVP)
-	a := RunSuite(ws, ooo.Skylake(), pf, fresh)
+	// The reference runs one at a time on an emptied pool, so each run
+	// constructs a fresh core.
+	a := make([]Result, len(ws))
+	for i, w := range ws {
+		corePools.Delete(ooo.Skylake())
+		a[i] = RunOne(w, ooo.Skylake(), pf, opt)
+	}
 	// Two pooled passes: the second is guaranteed to draw Reset cores.
-	RunSuite(ws, ooo.Skylake(), pf, pooled)
-	b := RunSuite(ws, ooo.Skylake(), pf, pooled)
+	RunSuite(ws, ooo.Skylake(), pf, opt)
+	b := RunSuite(ws, ooo.Skylake(), pf, opt)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("pooled RunSuite diverged from fresh-core RunSuite:\n got: %+v\nwant: %+v", b, a)
 	}

@@ -28,9 +28,9 @@ func WarmupModes() []string {
 	return []string{string(WarmupDetailed), string(WarmupFunctional)}
 }
 
-// InvalidOptionsError reports a degenerate Options field. It mirrors the
-// façade's fvp.InvalidSpecError shape so service layers can translate
-// field-for-field.
+// InvalidOptionsError reports a degenerate Options field. It has the
+// façade's fvp.InvalidSpecError shape, and fvp.Validate translates it
+// field-for-field into the spec's wire names.
 type InvalidOptionsError struct {
 	// Field is the Options field at fault.
 	Field string
@@ -111,7 +111,7 @@ func (o Options) validateSampling() error {
 	}
 	if s.Units < 0 || (s.Units > 0 && s.Units < sample.MinUnits) {
 		return &InvalidOptionsError{
-			Field: "Sampling.Units", Value: uint64(s.Units), Limit: sample.MinUnits,
+			Field:  "Sampling.Units",
 			Reason: "at least two sample units are needed for a variance estimate",
 		}
 	}

@@ -57,7 +57,7 @@ func regionsGoldenCells(t *testing.T) []regionsGoldenRecord {
 		for _, mode := range []WarmupMode{WarmupDetailed, WarmupFunctional} {
 			r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), Options{
 				WarmupInsts: 5_000, MeasureInsts: 30_000,
-				Regions: 3, WarmupMode: mode, ReuseCores: true,
+				Regions: 3, WarmupMode: mode,
 			})
 			rec := regionsGoldenRecord{
 				Key: fmt.Sprintf("%s/%s/K=3", name, mode),

@@ -155,12 +155,6 @@ type Options struct {
 	MeasureInsts uint64
 	// Parallelism bounds concurrent runs (0 = GOMAXPROCS).
 	Parallelism int
-	// ReuseCores draws cores from a per-config pool and Resets them
-	// between runs instead of constructing a fresh ~6 MB core per run.
-	// Reset is observationally identical to construction (enforced by
-	// the ooo reset-equivalence and harness determinism tests), so this
-	// only changes allocation behavior, never results.
-	ReuseCores bool
 
 	// OnSample, if non-nil, streams per-interval telemetry samples from
 	// the measured region (the tap attaches after warmup, so the series
@@ -204,11 +198,15 @@ type Options struct {
 // DefaultOptions is sized so predictors reach steady state while a full
 // 60-workload sweep stays tractable.
 func DefaultOptions() Options {
-	return Options{WarmupInsts: 100_000, MeasureInsts: 300_000, ReuseCores: true}
+	return Options{WarmupInsts: 100_000, MeasureInsts: 300_000}
 }
 
 // corePools holds one free-list of reusable cores per core configuration
-// (ooo.Config is comparable, so it keys the map directly).
+// (ooo.Config is comparable, so it keys the map directly). Every run draws
+// its core here and Resets it instead of constructing a fresh ~6 MB core;
+// Reset is observationally identical to construction (enforced by the ooo
+// reset-equivalence and harness determinism tests), so pooling changes
+// allocation behavior, never results.
 var corePools sync.Map // ooo.Config -> *sync.Pool
 
 func acquireCore(cfg ooo.Config, pred vp.Predictor, src ooo.InstSource, mem *prog.Memory) *ooo.Core {
@@ -376,13 +374,8 @@ type segment struct {
 // instructions. It is the shared engine of the monolithic path and each
 // unit of a checkpointed run.
 func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, ex *prog.Exec, mem *prog.Memory, warmRanges []prog.WarmRange, opt Options, measure uint64) (segment, error) {
-	var c *ooo.Core
-	if opt.ReuseCores {
-		c = acquireCore(coreCfg, pred, ex, mem)
-		defer releaseCore(coreCfg, c)
-	} else {
-		c = ooo.New(coreCfg, pred, ex, mem)
-	}
+	c := acquireCore(coreCfg, pred, ex, mem)
+	defer releaseCore(coreCfg, c)
 	c.WarmCaches(warmRanges)
 
 	var seg segment

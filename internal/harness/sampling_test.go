@@ -71,7 +71,7 @@ func TestSamplingOptionsValidate(t *testing.T) {
 func TestSampledRunStructure(t *testing.T) {
 	w, _ := workload.ByName("omnetpp")
 	opt := Options{
-		WarmupInsts: 5_000, MeasureInsts: 200_000, ReuseCores: true,
+		WarmupInsts: 5_000, MeasureInsts: 200_000,
 		Sampling: Sampling{Units: 8, UnitInsts: 1_000, WarmupInsts: 2_000, Seed: 1},
 	}
 	r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
@@ -134,7 +134,7 @@ func TestSampledRunStructure(t *testing.T) {
 func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 	w, _ := workload.ByName("gcc")
 	base := Options{
-		WarmupInsts: 5_000, MeasureInsts: 120_000, ReuseCores: true,
+		WarmupInsts: 5_000, MeasureInsts: 120_000,
 		Sampling: Sampling{Units: 6, UnitInsts: 1_000, WarmupInsts: 2_000, Seed: 3},
 	}
 	var ref Result
@@ -163,7 +163,7 @@ func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 func TestSamplingSeedSensitive(t *testing.T) {
 	w, _ := workload.ByName("mcf")
 	opt := Options{
-		WarmupInsts: 2_000, MeasureInsts: 80_000, ReuseCores: true,
+		WarmupInsts: 2_000, MeasureInsts: 80_000,
 		Sampling: Sampling{Units: 4, UnitInsts: 500, Seed: 1},
 	}
 	a := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
@@ -179,7 +179,7 @@ func TestSamplingSeedSensitive(t *testing.T) {
 func TestSamplingAutoTune(t *testing.T) {
 	w, _ := workload.ByName("hmmer")
 	opt := Options{
-		WarmupInsts: 2_000, MeasureInsts: 300_000, ReuseCores: true,
+		WarmupInsts: 2_000, MeasureInsts: 300_000,
 		Sampling: Sampling{Units: 2, UnitInsts: 1_000, TargetCI: 0.05, MaxUnits: 64, Seed: 9},
 	}
 	r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
@@ -226,9 +226,9 @@ func TestSamplingFidelityGate(t *testing.T) {
 			t.Fatalf("golden workload %q missing", name)
 		}
 		full := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
-			Options{WarmupInsts: warm, MeasureInsts: measure, ReuseCores: true})
+			Options{WarmupInsts: warm, MeasureInsts: measure})
 		sampled := RunOne(w, ooo.Skylake(), Factory(SpecFVP), Options{
-			WarmupInsts: warm, MeasureInsts: measure, ReuseCores: true,
+			WarmupInsts: warm, MeasureInsts: measure,
 			Sampling: Sampling{Units: 16, UnitInsts: 2_000, Seed: 1},
 		})
 		rel := math.Abs(sampled.IPC-full.IPC) / full.IPC
@@ -261,11 +261,11 @@ func TestSamplingCICoverage(t *testing.T) {
 	)
 	w, _ := workload.ByName("omnetpp")
 	full := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
-		Options{WarmupInsts: warm, MeasureInsts: measure, ReuseCores: true})
+		Options{WarmupInsts: warm, MeasureInsts: measure})
 	hits := 0
 	for seed := uint64(0); seed < seeds; seed++ {
 		r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), Options{
-			WarmupInsts: warm, MeasureInsts: measure, ReuseCores: true,
+			WarmupInsts: warm, MeasureInsts: measure,
 			Sampling: Sampling{Units: 12, UnitInsts: 1_000, Seed: seed},
 		})
 		m := r.Sampling.IPC

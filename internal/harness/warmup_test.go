@@ -121,7 +121,7 @@ func TestFunctionalWarmupSmoke(t *testing.T) {
 // Functional warmup must be deterministic like everything else.
 func TestFunctionalWarmupDeterministic(t *testing.T) {
 	w, _ := workload.ByName("mcf")
-	opt := Options{WarmupInsts: 10_000, MeasureInsts: 30_000, WarmupMode: WarmupFunctional, ReuseCores: true}
+	opt := Options{WarmupInsts: 10_000, MeasureInsts: 30_000, WarmupMode: WarmupFunctional}
 	a := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
 	b := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
 	a.FFSeconds, b.FFSeconds = 0, 0
@@ -154,7 +154,7 @@ func TestRegionsDeterministicAcrossWorkers(t *testing.T) {
 	w, _ := workload.ByName("gcc")
 	base := Options{
 		WarmupInsts: 5_000, MeasureInsts: 40_000,
-		Regions: 4, WarmupMode: WarmupFunctional, ReuseCores: true,
+		Regions: 4, WarmupMode: WarmupFunctional,
 	}
 	var ref Result
 	for i, workers := range []int{1, 2, 4} {
@@ -176,7 +176,7 @@ func TestRegionsDeterministicAcrossWorkers(t *testing.T) {
 // equal to the field-wise sum.
 func TestRegionStitching(t *testing.T) {
 	w, _ := workload.ByName("omnetpp")
-	opt := Options{WarmupInsts: 5_000, MeasureInsts: 35_000, Regions: 3, ReuseCores: true}
+	opt := Options{WarmupInsts: 5_000, MeasureInsts: 35_000, Regions: 3}
 	r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
 	if len(r.Regions) != 3 {
 		t.Fatalf("got %d regions, want 3", len(r.Regions))

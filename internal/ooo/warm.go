@@ -48,7 +48,6 @@ func (c *Core) WarmFunctional(insts uint64) uint64 {
 	if insts == 0 {
 		return 0
 	}
-	warmer, fastWarm := c.pred.(vp.Warmer)
 	// The baseline predictor consumes nothing: no Ctx, no TrainInfo, no
 	// criticality tables (the detailed pipeline rebuilds oracle/branch-chain
 	// state itself during measurement and only predictors read it). Skip
@@ -194,16 +193,8 @@ func (c *Core) WarmFunctional(insts uint64) uint64 {
 		}
 
 		// Value tables: the full in-order call protocol — Lookup (stores
-		// deposit MR identities), Train, OnRetire — unless the predictor
-		// offers a cheaper Warmer path.
-		switch {
-		case minimal:
-		case fastWarm:
-			c.ctx.Hist = histSnap
-			c.ctx.Parents = parents
-			c.ctx.NumParents = nparents
-			warmer.WarmObserve(&d, &c.ctx, info)
-		default:
+		// deposit MR identities), Train, OnRetire.
+		if !minimal {
 			c.ctx.Hist = histSnap
 			c.ctx.Parents = parents
 			c.ctx.NumParents = nparents

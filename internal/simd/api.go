@@ -73,12 +73,11 @@ type SamplingSpec struct {
 var ErrSamplingConflict = errors.New(
 	`simd: request sets both "sampling" and the deprecated flat sample_* fields; use "sampling" only`)
 
-// legacySampling reports whether the request spells its sampling plan
-// with the deprecated flat fields.
-func (r RunRequest) legacySampling() bool {
-	return r.Sampling == nil &&
-		(r.SampleUnits != 0 || r.SampleUnitInsts != 0 || r.SampleWarmupInsts != 0 ||
-			r.SampleTargetCI != 0 || r.SampleMaxUnits != 0 || r.SampleSeed != 0)
+// flatSampling reports whether the request sets any of the deprecated
+// flat sample_* fields.
+func (r RunRequest) flatSampling() bool {
+	return r.SampleUnits != 0 || r.SampleUnitInsts != 0 || r.SampleWarmupInsts != 0 ||
+		r.SampleTargetCI != 0 || r.SampleMaxUnits != 0 || r.SampleSeed != 0
 }
 
 // Flattened folds the nested Sampling block into the embedded RunSpec's
@@ -88,8 +87,7 @@ func (r RunRequest) Flattened() (RunRequest, error) {
 	if r.Sampling == nil {
 		return r, nil
 	}
-	if r.legacySampling() || r.SampleUnits != 0 || r.SampleUnitInsts != 0 ||
-		r.SampleWarmupInsts != 0 || r.SampleTargetCI != 0 || r.SampleMaxUnits != 0 || r.SampleSeed != 0 {
+	if r.flatSampling() {
 		return r, ErrSamplingConflict
 	}
 	sp := r.Sampling

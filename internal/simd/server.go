@@ -118,7 +118,7 @@ func ParseRuns(raw []byte) (reqs []RunRequest, legacy bool, err error) {
 		reqs = []RunRequest{one}
 	}
 	for _, r := range reqs {
-		if r.legacySampling() {
+		if r.Sampling == nil && r.flatSampling() {
 			legacy = true
 			break
 		}

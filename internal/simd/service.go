@@ -308,27 +308,13 @@ func (s *Service) recoverJobs() {
 		s.jobs[j.id] = j
 		s.recovered++
 
-		if m, ok := s.cachedMetricsLocked(rec.Key); ok {
-			j.state = StateDone
-			j.cached = true
-			j.result = m
-			j.artifacts = s.artifactsLocked(j.key)
-			s.met.done++
-			close(j.done)
-			s.retainLocked(j)
+		if s.finishCachedLocked(j) {
 			s.storeSetState(rec.ID, store.JobDone, "")
-			continue
+		} else if leader := s.inflight[rec.Key]; leader != nil {
+			s.attachFollowerLocked(j, leader)
+		} else {
+			s.startLeaderLocked(j, req.TimeoutMS)
 		}
-		if leader := s.inflight[rec.Key]; leader != nil {
-			j.state = leader.state
-			j.cached = true
-			j.leader = leader
-			leader.followers = append(leader.followers, j)
-			leader.live++
-			s.tq.get(j.tenant).inflight++
-			continue
-		}
-		s.startLeaderLocked(j, req.TimeoutMS)
 	}
 }
 
@@ -493,21 +479,11 @@ func (s *Service) SubmitBatch(reqs []RunRequest) ([]JobStatus, error) {
 		switch a.kind {
 		case kLeader:
 			s.jobs[j.id] = j
-			s.met.cacheMisses++
 			s.startLeaderLocked(j, r.TimeoutMS)
 		case kFollower, kDup:
 			s.attachFollowerLocked(j, s.inflight[a.key])
 		case kCached:
-			if m, ok := s.cachedMetricsLocked(a.key); ok {
-				s.jobs[j.id] = j
-				j.state = StateDone
-				j.cached = true
-				j.result = m
-				j.artifacts = s.artifactsLocked(a.key)
-				s.met.cacheHits++
-				s.met.done++
-				close(j.done)
-				s.retainLocked(j)
+			if s.finishCachedLocked(j) {
 				break
 			}
 			// Has said yes but the record would not decode (version skew in
@@ -529,8 +505,14 @@ func (s *Service) SubmitBatch(reqs []RunRequest) ([]JobStatus, error) {
 				return nil, fmt.Errorf("%w: %v", ErrStore, err)
 			}
 			s.jobs[j.id] = j
-			s.met.cacheMisses++
 			s.startLeaderLocked(j, r.TimeoutMS)
+		}
+		// A submit counts a cache hit exactly when it is served cached; a
+		// recovered job counts neither.
+		if j.cached {
+			s.met.cacheHits++
+		} else {
+			s.met.cacheMisses++
 		}
 		out[i] = s.status(j)
 	}
@@ -548,7 +530,24 @@ func (s *Service) attachFollowerLocked(j, leader *job) {
 	leader.followers = append(leader.followers, j)
 	leader.live++
 	s.tq.get(j.tenant).inflight++
-	s.met.cacheHits++
+}
+
+// finishCachedLocked completes j from the result cache and reports
+// whether its result was there.
+func (s *Service) finishCachedLocked(j *job) bool {
+	m, ok := s.cachedMetricsLocked(j.key)
+	if !ok {
+		return false
+	}
+	s.jobs[j.id] = j
+	j.state = StateDone
+	j.cached = true
+	j.result = m
+	j.artifacts = s.artifactsLocked(j.key)
+	s.met.done++
+	close(j.done)
+	s.retainLocked(j)
+	return true
 }
 
 // admitTenantsLocked charges each tenant's token bucket for its share of
@@ -644,20 +643,21 @@ func (s *Service) worker() {
 		s.storeSetState(j.numID, store.JobRunning, "")
 		s.mu.Unlock()
 
-		// Attach a progress gauge to a copy of the spec: the Observer field
-		// is json:"-" and outside the cache key, so the simulated work and
-		// its identity are untouched. Region-parallel and sampled runs
-		// measure their slices concurrently, where interval samples would
-		// interleave meaninglessly (the façade rejects the combinations), so
-		// they run unobserved — and untraced, for the same reason.
+		// Attach a progress gauge (and the requested trace) to a copy of
+		// the spec: the taps are json:"-" and outside the cache key, so the
+		// simulated work and its identity are untouched. A run shape that
+		// cannot take taps — region-parallel and sampled runs measure their
+		// slices concurrently, where samples would interleave — fails the
+		// façade's validation with them attached and runs untapped.
 		spec := j.spec
+		spec.Observer = j.progress
 		var tracer *fvp.PipeTrace
-		if spec.Regions <= 1 && spec.SampleUnits == 0 && spec.SampleTargetCI == 0 {
-			spec.Observer = j.progress
-			if j.trace {
-				tracer = fvp.NewPipeTrace(traceMaxInsts)
-				spec.Tracer = tracer
-			}
+		if j.trace {
+			tracer = fvp.NewPipeTrace(traceMaxInsts)
+			spec.Tracer = tracer
+		}
+		if fvp.Validate(spec) != nil {
+			spec, tracer = j.spec, nil
 		}
 
 		var m fvp.Metrics

@@ -100,6 +100,71 @@ func TestDiskRestartRedispatchesJobs(t *testing.T) {
 	}
 }
 
+// TestTraceSkippedForConcurrentShapes: region-parallel and sampled runs
+// cannot take the progress gauge or a trace, so a traced submit of either
+// still completes, just without an artifact.
+func TestTraceSkippedForConcurrentShapes(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	regions, sampled := fastSpec(), fastSpec()
+	regions.Regions = 2
+	sampled.MeasureInsts, sampled.SampleUnits, sampled.SampleUnitInsts = 20_000, 2, 1_000
+	for _, spec := range []fvp.RunSpec{regions, sampled} {
+		st, err := svc.Submit(RunRequest{RunSpec: spec, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := svc.Wait(context.Background(), st.ID)
+		if err != nil || final.State != StateDone || len(final.Artifacts) != 0 {
+			t.Errorf("traced %+v: %+v, %v; want done without artifacts", spec, final, err)
+		}
+	}
+}
+
+// TestRecoveryCountsNoCacheHits: jobs re-admitted at boot are not
+// submits, so they count no cache hit or miss — neither a job completed
+// from a result persisted just before the crash nor one that attaches to
+// a recovered twin.
+func TestRecoveryCountsNoCacheHits(t *testing.T) {
+	jobs := store.NewMemoryJobStore()
+	results := store.NewMemoryResultStore(16, 0)
+	cachedSpec, twinSpec := fastSpec(), fastSpec()
+	twinSpec.Predictor = fvp.PredNone
+	var recs []store.JobRecord
+	for _, spec := range []fvp.RunSpec{cachedSpec, twinSpec, twinSpec} {
+		encoded, err := json.Marshal(RunRequest{RunSpec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, store.JobRecord{ID: jobs.NextID(), Key: specKey(spec), Spec: encoded})
+	}
+	if err := jobs.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	// The crash landed after cachedSpec's result was stored but before its
+	// job was marked done.
+	result, _ := json.Marshal(fvp.Metrics{IPC: 1.5})
+	if err := results.Put(recs[0].Key, result); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(Config{Workers: 1, Stores: store.Stores{Jobs: jobs, Results: results},
+		Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
+			return fvp.Metrics{IPC: 2}, nil
+		}})
+	defer svc.Close()
+	for _, rec := range recs {
+		if _, err := svc.Wait(context.Background(), svc.jobID(rec.ID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := svc.Snapshot()
+	if snap.JobsRecovered != 3 || snap.CacheHits != 0 || snap.CacheMisses != 0 {
+		t.Errorf("recovered=%d hits=%d misses=%d, want 3/0/0",
+			snap.JobsRecovered, snap.CacheHits, snap.CacheMisses)
+	}
+}
+
 // TestDiskCacheSurvivesRestart: a result computed before a graceful
 // shutdown is served as a cache hit — without re-simulating — by the next
 // process.

@@ -100,18 +100,6 @@ type Predictor interface {
 	StorageBits() int
 }
 
-// Warmer is an optional fast-warming interface a Predictor may implement.
-// During functional warmup the core calls WarmObserve once per retired
-// instruction instead of the full Lookup/Train/OnRetire triple; a
-// predictor whose tables can be trained more cheaply from the
-// architectural stream (or not at all) can shortcut here. Predictors that
-// do not implement Warmer are warmed through the full call protocol, which
-// is always correct — it performs exactly the table updates a detailed
-// run's in-order train path would.
-type Warmer interface {
-	WarmObserve(d *isa.DynInst, ctx *Ctx, info TrainInfo)
-}
-
 // None is the no-prediction baseline. Its zero value is ready to use.
 type None struct{}
 
@@ -132,10 +120,6 @@ func (None) OnRetire(*isa.DynInst) {}
 
 // OnFlush implements Predictor.
 func (None) OnFlush() {}
-
-// WarmObserve implements Warmer: the baseline has no tables to warm, so
-// functional warmup skips even the no-op protocol calls.
-func (None) WarmObserve(*isa.DynInst, *Ctx, TrainInfo) {}
 
 // StorageBits implements Predictor.
 func (None) StorageBits() int { return 0 }
