@@ -1,54 +1,45 @@
 // Command fvpbench runs a fixed core-performance benchmark matrix and
 // writes BENCH_core.json, the repo's simulator-performance trajectory
-// artifact. It measures two things:
+// artifact. Its sections, in the order it runs them:
 //
-//  1. The steady-state OOO cycle loop (the same measurement as
-//     BenchmarkCoreCycleLoop in bench_test.go): simulated instructions per
-//     wall-clock second and heap allocations per 50k-instruction chunk,
-//     compared against the recorded pre-event-driven-scheduler reference.
-//     The default input is a packed binary trace replayed from memory; a
-//     replay section records the same loop driven by the functional
-//     generator, so the artifact shows how much of simulation time was
-//     workload generation.
+//  1. The steady-state OOO cycle loop on the functional generator (the
+//     same measurement as BenchmarkCoreCycleLoop in bench_test.go):
+//     simulated instructions per wall-clock second and heap allocations per
+//     50k-instruction chunk, compared against the recorded
+//     pre-event-driven-scheduler reference.
 //  2. The same loop on an mcf-class DRAM-bound pointer chaser, once with
-//     idle-cycle elision (the default build) and once on the ticking path
+//     idle-cycle elision (the default) and once on the ticking path
 //     (Config.DisableIdleElision), recording the elision speedup and the
 //     skip_ratio — the fraction of simulated cycles covered by clock jumps.
-//  3. A full-suite FVP-vs-baseline sweep: aggregate simulation throughput
-//     (sim MIPS across all parallel runs) and the geomean IPC speedup —
-//     the paper's headline metric — so a perf regression that also changes
-//     results is visible in the same artifact. Each per-workload row now
-//     carries its skip_ratio, so the artifact shows which workload
-//     categories the elision fast path accelerates.
-//  4. The fast-forward subsystem: warmup-phase throughput detailed vs
-//     functional (floor 5x), the functional executor's ns per instruction
-//     on each golden workload, stepping with Exec.Next and scanning with
-//     Exec.Run(n, nil) as checkpoint scans do, a paper-scale suite pass
-//     with each warmup mode (end-to-end wall-clock ratio), and the
-//     region-parallel scaling curve (K=1,2,4,8 checkpointed regions on K
-//     workers).
-//  5. The fvpd store backends: result-record put latency (the disk
-//     backend's fsync cost) and service-level cache-hit submit latency,
-//     memory vs disk — cache hits must stay fsync-free on both.
-//     The service section floods the real HTTP surface of a disk-backed
-//     two-node cluster through the non-owner node, once per-request and
-//     once with the edge micro-batcher and forward coalescer on,
-//     recording sustained submits/sec and client-observed p50/p99 — the
-//     batcher's amortization of per-hop forwards, admission, and fsync'd
-//     JobStore appends, measured end to end.
-//  6. The statistical sampling engine: one paper-scale region measured in
-//     full detail and again as a SMARTS-style sampled estimate (speedup
-//     floor 10x), plus a sampled suite sweep whose sim MIPS credits the
-//     whole estimated region — the two-digit-MIPS headline.
-//  7. Per-run set-up: the milliseconds Program.BuildMemory spends on each
-//     golden workload's initial image, Core.Reset on a pooled core, and
-//     Core.WarmCaches installing the steady-state cache image, the costs
-//     every run, sampling unit and fvpd job pays before its first
-//     simulated cycle.
+//  3. A suite FVP-vs-baseline sweep: aggregate simulation throughput (sim
+//     MIPS across all parallel runs) and the geomean IPC speedup — the
+//     paper's headline metric — so a perf regression that also changes
+//     results is visible in the same artifact. Each per-workload row
+//     carries its skip_ratio.
+//  4. Fast-forward: warmup-phase throughput detailed vs functional (floor
+//     5x), and a paper-scale suite pass with each warmup mode (end-to-end
+//     wall-clock ratio).
+//  5. The region-parallel scaling curve: K=1,2,4,8 checkpointed regions on
+//     K workers. A row with more workers than GOMAXPROCS is marked
+//     unmeasurable and carries no speedup.
+//  6. Statistical sampling: one paper-scale region measured in full detail
+//     and again as a SMARTS-style sampled estimate (speedup floor 10x),
+//     plus a sampled suite sweep whose sim MIPS credits the whole
+//     estimated region.
+//  7. The fvpd request plane: a flood of the real HTTP surface of a
+//     disk-backed two-node cluster through the non-owner node, once
+//     per-request and once with the edge micro-batcher and forward
+//     coalescer on, recording sustained submits/sec and client-observed
+//     p50/p99.
 //
-// With -gate the freshly measured suite throughputs are compared against a
-// recorded BENCH_core.json and the run exits nonzero on a >5% sim MIPS
-// drop — the CI perf-regression gate.
+// Per-run set-up, the functional executor and the store backends are
+// measured by the benchmark under bench/, per layer and with medians and
+// spreads (prog.build_memory_ms, ooo.core_reset_ms, ooo.warm_caches_ms,
+// prog.exec_ns_per_inst, store.result_put_us and the svc-cached workload).
+//
+// With -gate the fresh suite and service throughputs are compared against
+// a recorded BENCH_core.json and the run exits nonzero on a >5% drop or a
+// batched speedup under its floor — the CI perf-regression gate.
 //
 // Usage:
 //
@@ -60,7 +51,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -72,7 +62,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,14 +71,11 @@ import (
 	"fvp/internal/cluster"
 	"fvp/internal/core"
 	"fvp/internal/harness"
-	"fvp/internal/isa"
 	"fvp/internal/ooo"
 	"fvp/internal/prog"
 	"fvp/internal/simd"
-	"fvp/internal/store"
 	"fvp/internal/store/disk"
 	"fvp/internal/telemetry"
-	"fvp/internal/trace"
 	"fvp/internal/vp"
 	"fvp/internal/workload"
 )
@@ -113,7 +99,6 @@ const (
 const (
 	ffWorkload        = "omnetpp"
 	ffWarmInsts       = 100_000
-	execInsts         = 500_000
 	regionWorkload    = "omnetpp"
 	paperWarmInsts    = 100_000
 	paperMeasureInsts = 300_000
@@ -130,26 +115,6 @@ var reference = CycleLoop{
 	AllocsPerOp: 51_813,
 	BytesPerOp:  14_460_000,
 	Note:        "pre-event-driven scheduler (full-window scans), Xeon @ 2.10GHz",
-}
-
-// replayWindowFactor sizes the recorded steady-state window for replay-
-// driven cycle-loop measurements: replayWindowFactor*instsPerOp packed
-// instructions recorded once at setup, then looped (matching the
-// replaySource helper in bench_test.go — 400k insts for the 50k-chunk
-// loop).
-const replayWindowFactor = 8
-
-// ReplaySection compares the cycle loop's two input paths on the same
-// workload: micro-ops produced by the functional generator inside the
-// timed region versus the same stream pre-recorded into the packed binary
-// trace format and replayed from memory (the default input since the
-// data-oriented core landed; the golden replay matrix pins the two paths
-// bit-identical). Speedup is replay inst/s over generator inst/s — the
-// share of simulation time that was workload generation, not timing model.
-type ReplaySection struct {
-	Generator CycleLoop `json:"generator"`
-	Replay    CycleLoop `json:"replay"`
-	Speedup   float64   `json:"replay_speedup"`
 }
 
 // CycleLoop is the steady-state cycle-loop measurement. SkipRatio is the
@@ -213,42 +178,29 @@ type SamplingSection struct {
 // FastForward is the warmup-phase throughput measurement: the same warmup
 // window driven once through the detailed pipeline and once through the
 // functional warming taps (ooo.Core.WarmFunctional), on a fresh core each
-// way. The speedup floor for the fast-forward subsystem is 5x. Exec holds
-// the functional executor's own cost on each golden workload.
+// way. The speedup floor for the fast-forward subsystem is 5x.
 type FastForward struct {
-	Workload             string    `json:"workload"`
-	WarmupInsts          uint64    `json:"warmup_insts"`
-	DetailedInstPerSec   float64   `json:"detailed_inst_per_sec"`
-	FunctionalInstPerSec float64   `json:"functional_inst_per_sec"`
-	Speedup              float64   `json:"speedup"`
-	ExecInsts            uint64    `json:"exec_insts"`
-	ExecRepeats          int       `json:"exec_repeats"`
-	Exec                 []ExecRow `json:"exec"`
-}
-
-// ExecRow is one workload's functional-executor cost from a fresh Exec:
-// ns per instruction stepping with Exec.Next, which describes each
-// instruction, and scanning with Exec.Run(n, nil), which does not, as the
-// median and interquartile range of interleaved repeats.
-type ExecRow struct {
-	Workload      string  `json:"workload"`
-	NextNsPerInst float64 `json:"next_ns_per_inst"`
-	NextIQRNs     float64 `json:"next_iqr_ns"`
-	ScanNsPerInst float64 `json:"scan_ns_per_inst"`
-	ScanIQRNs     float64 `json:"scan_iqr_ns"`
+	Workload             string  `json:"workload"`
+	WarmupInsts          uint64  `json:"warmup_insts"`
+	DetailedInstPerSec   float64 `json:"detailed_inst_per_sec"`
+	FunctionalInstPerSec float64 `json:"functional_inst_per_sec"`
+	Speedup              float64 `json:"speedup"`
 }
 
 // RegionRow is one point of the region-parallel scaling curve: the same
 // (warmup, measure) slice split into K checkpointed regions simulated by K
 // workers. IPC is the stitched aggregate — deterministic for a fixed K
 // regardless of worker count, but not identical across K (each region
-// re-warms from cold structures).
+// re-warms from cold structures). A row whose workers exceed GOMAXPROCS is
+// Unmeasurable: its workers time-share the host's CPUs, so its wall time
+// says nothing about scaling and it carries no speedup.
 type RegionRow struct {
-	Regions     int     `json:"regions"`
-	Workers     int     `json:"workers"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Speedup     float64 `json:"speedup_vs_k1"`
-	IPC         float64 `json:"ipc"`
+	Regions      int     `json:"regions"`
+	Workers      int     `json:"workers"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	Speedup      float64 `json:"speedup_vs_k1,omitempty"`
+	Unmeasurable bool    `json:"unmeasurable,omitempty"`
+	IPC          float64 `json:"ipc"`
 }
 
 // ParallelRegions is the region-scaling section.
@@ -257,7 +209,6 @@ type ParallelRegions struct {
 	WarmupInsts  uint64      `json:"warmup_insts"`
 	MeasureInsts uint64      `json:"measure_insts"`
 	Rows         []RegionRow `json:"rows"`
-	Note         string      `json:"note,omitempty"`
 }
 
 // WorkloadSpeedup is one row of the sweep. SkipRatio is taken from the FVP
@@ -272,7 +223,7 @@ type WorkloadSpeedup struct {
 }
 
 // Service-section parameters: the micro-batcher settings the batched
-// flood runs under, also recorded in the artifact's environment block.
+// flood runs under, recorded as service.batch_window and batch_max.
 // BatchMax matches the client count so a full complement of parked
 // submitters flushes immediately instead of waiting out the window.
 const (
@@ -311,50 +262,6 @@ type ServiceSection struct {
 	BatchedSpeedup float64      `json:"batched_speedup"`
 }
 
-// RequestPlaneEnv records the service-path settings the Service section
-// was measured under — part of the environment block so request-plane
-// numbers are comparable across hosts and configurations.
-type RequestPlaneEnv struct {
-	BatchWindow    string `json:"batch_window"`
-	BatchMax       int    `json:"batch_max"`
-	Replicas       int    `json:"replicas"`
-	ReplicateAfter int    `json:"replicate_after"`
-}
-
-// SetupRow is one workload's set-up cost: Program.BuildMemory, Core.Reset
-// of a pooled core and Core.WarmCaches on it, each as the median and the
-// interquartile range of Repeats interleaved timings.
-type SetupRow struct {
-	Workload          string  `json:"workload"`
-	WarmMillis        float64 `json:"warm_caches_ms"`
-	IQRMillis         float64 `json:"warm_caches_iqr_ms"`
-	ResetMillis       float64 `json:"reset_ms"`
-	ResetIQRMillis    float64 `json:"reset_iqr_ms"`
-	BuildMemoryMillis float64 `json:"build_memory_ms"`
-	BuildMemoryIQR    float64 `json:"build_memory_iqr_ms"`
-}
-
-// SetupSection is the per-run set-up cost over the golden-matrix
-// workloads on the Skylake hierarchy. MeanWarmMillis averages the rows'
-// medians.
-type SetupSection struct {
-	Core           string     `json:"core"`
-	Repeats        int        `json:"repeats"`
-	Rows           []SetupRow `json:"rows"`
-	MeanWarmMillis float64    `json:"mean_warm_caches_ms"`
-}
-
-// StoreBench is one fvpd store-backend row: the durable-write cost
-// (ResultPut includes the disk backend's per-record fsync) and the
-// service-level cache-hit submit latency (which must not fsync on either
-// backend — a hit is a read).
-type StoreBench struct {
-	Backend             string  `json:"backend"`
-	Ops                 int     `json:"ops"`
-	ResultPutNsPerOp    float64 `json:"result_put_ns_per_op"`
-	CachedSubmitNsPerOp float64 `json:"cached_submit_ns_per_op"`
-}
-
 // Report is the BENCH_core.json schema.
 type Report struct {
 	GeneratedAt string `json:"generated_at"`
@@ -365,18 +272,11 @@ type Report struct {
 	// GOMAXPROCS is the scheduler's worker-thread cap at measurement
 	// time; with NumCPU it makes throughput comparable across hosts.
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// RequestPlane is the batch/replication configuration the Service
-	// section ran under.
-	RequestPlane RequestPlaneEnv `json:"request_plane"`
 
 	CycleLoop          CycleLoop `json:"core_cycle_loop"`
 	Reference          CycleLoop `json:"reference"`
 	SpeedupVsReference float64   `json:"speedup_vs_reference"`
 	AllocsReduction    float64   `json:"allocs_reduction_factor"`
-
-	// Replay is the packed-trace-vs-generator input comparison; CycleLoop
-	// above is its replay row (replay is the default input path).
-	Replay ReplaySection `json:"replay"`
 
 	// The mem-bound loop measured with elision on and again on the ticking
 	// path; MemBoundElisionSpeedup is their inst/s ratio (acceptance floor
@@ -395,75 +295,16 @@ type Report struct {
 
 	ParallelRegions ParallelRegions `json:"parallel_regions"`
 
-	// Setup is the per-run cache-warm cost of each golden workload.
-	Setup SetupSection `json:"setup"`
-
 	// Sampling is the statistical-sampling engine: the full-vs-sampled
 	// speedup on one paper-scale region (floor 10x) and the sampled suite
 	// sweep (two-digit sim MIPS).
 	Sampling SamplingSection `json:"sampling"`
-
-	// Store is the fvpd backend comparison: memory vs crash-safe disk.
-	Store []StoreBench `json:"store"`
 
 	// Service is the request-plane flood: per-request vs micro-batched
 	// submit throughput through the HTTP surface.
 	Service ServiceSection `json:"service"`
 
 	Suite Suite `json:"suite"`
-}
-
-// measureStore times one store backend. newStores must return a fresh
-// backend each call (a new temp dir for disk).
-func measureStore(backend string, newStores func() (store.Stores, error), ops int) StoreBench {
-	sb := StoreBench{Backend: backend, Ops: ops}
-
-	// Durable result-put latency: distinct keys, a realistic encoded-
-	// Metrics-sized value. On disk every put is an fsync'd append.
-	st, err := newStores()
-	if err != nil {
-		fatalf("store %s: %v", backend, err)
-	}
-	val := bytes.Repeat([]byte("x"), 384)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if err := st.Results.Put(fmt.Sprintf("bench-%05d", i), val); err != nil {
-			fatalf("store %s: put: %v", backend, err)
-		}
-	}
-	sb.ResultPutNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(ops)
-	st.Close()
-
-	// Service-level cache-hit latency: one simulated run populates the
-	// cache, then identical submits are served terminal at admit time. A
-	// hit is a store read, so disk must track memory closely here.
-	st2, err := newStores()
-	if err != nil {
-		fatalf("store %s: %v", backend, err)
-	}
-	svc := simd.New(simd.Config{
-		Workers: 1, Stores: st2,
-		Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
-			return fvp.Metrics{IPC: 1, Cycles: 1, Insts: 1}, nil
-		},
-	})
-	defer svc.Close()
-	spec := fvp.RunSpec{Workload: "omnetpp", Predictor: fvp.PredFVP, WarmupInsts: 1_000, MeasureInsts: 2_000}
-	first, err := svc.Submit(simd.RunRequest{RunSpec: spec})
-	if err != nil {
-		fatalf("store %s: submit: %v", backend, err)
-	}
-	if _, err := svc.Wait(context.Background(), first.ID); err != nil {
-		fatalf("store %s: wait: %v", backend, err)
-	}
-	start = time.Now()
-	for i := 0; i < ops; i++ {
-		if _, err := svc.Submit(simd.RunRequest{RunSpec: spec}); err != nil {
-			fatalf("store %s: cached submit: %v", backend, err)
-		}
-	}
-	sb.CachedSubmitNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(ops)
-	return sb
 }
 
 // swapHandler lets an httptest.Server exist (URL in hand) before the
@@ -616,38 +457,20 @@ func measureService(batched bool, clients, requests int) ServiceBench {
 
 // measureCycleLoop reproduces BenchmarkCoreCycleLoop outside the testing
 // package: one core built and warmed outside the timed region, each op
-// advancing the same simulation by another chunk of retired instructions.
-// With replay set (the default input path, matching the benchmark) the
-// instruction stream is recorded once into the packed trace format and
-// looped from memory, so the timed region measures only the timing model;
-// with it clear the functional generator runs inside the loop (the
-// ReplaySection comparison row). disableElide forces the per-cycle ticking
-// path even on the default build (the two paths produce bit-identical
-// RunStats; see internal/ooo/elide.go).
-func measureCycleLoop(wlName string, instsPerOp uint64, ops int, disableElide, replay bool) CycleLoop {
+// advancing the same simulation by another chunk of retired instructions
+// from the functional generator. disableElide forces the per-cycle ticking
+// path (the two paths produce bit-identical RunStats; see
+// internal/ooo/elide.go).
+func measureCycleLoop(wlName string, instsPerOp uint64, ops int, disableElide bool) CycleLoop {
 	w, ok := workload.ByName(wlName)
 	if !ok {
 		fatalf("workload %q not found", wlName)
 	}
 	p := w.Build()
-	gen := prog.NewExec(p)
-	initMem := gen.Checkpoint().Memory()
-	var ex ooo.InstSource = gen
-	if replay {
-		window := replayWindowFactor * instsPerOp
-		data, n, err := trace.Record(prog.NewExec(p), window)
-		if err != nil || n < window {
-			fatalf("record %s: got %d/%d insts, err %v", wlName, n, window, err)
-		}
-		src, err := trace.NewMemReader(data, true)
-		if err != nil {
-			fatalf("replay %s: %v", wlName, err)
-		}
-		ex = src
-	}
+	ex := prog.NewExec(p)
 	cfg := ooo.Skylake()
 	cfg.DisableIdleElision = disableElide
-	c := ooo.New(cfg, core.New(core.DefaultConfig()), ex, initMem)
+	c := ooo.New(cfg, core.New(core.DefaultConfig()), ex, ex.Checkpoint().Memory())
 	c.WarmCaches(p.WarmRanges)
 	st0 := c.Run(instsPerOp) // reach steady state before timing
 	st1 := st0
@@ -712,98 +535,6 @@ func measureFastForward(wlName string, warmInsts uint64, ops int) FastForward {
 	return ff
 }
 
-// measureSetup times Program.BuildMemory, Core.Reset and Core.WarmCaches
-// for each named workload on one Skylake core, Reset before every warm. The
-// repeats are interleaved (every workload once per round) so a slow stretch
-// of the host spreads over all rows instead of landing on one.
-func measureSetup(names []string, repeats int) SetupSection {
-	type subject struct {
-		p  *prog.Program
-		ex *prog.Exec
-	}
-	subs := make([]subject, len(names))
-	for i, name := range names {
-		w, ok := workload.ByName(name)
-		if !ok {
-			fatalf("workload %q not found", name)
-		}
-		p := w.Build()
-		subs[i] = subject{p, prog.NewExec(p)}
-	}
-	c := ooo.New(ooo.Skylake(), vp.None{}, subs[0].ex, nil)
-	build, reset, warm := make([][]float64, len(names)), make([][]float64, len(names)), make([][]float64, len(names))
-	ms := func(start time.Time) float64 { return time.Since(start).Seconds() * 1e3 }
-	for r := 0; r < repeats; r++ {
-		for i, s := range subs {
-			start := time.Now()
-			mem := s.p.BuildMemory()
-			build[i] = append(build[i], ms(start))
-			start = time.Now()
-			c.Reset(vp.None{}, s.ex, mem)
-			reset[i] = append(reset[i], ms(start))
-			start = time.Now()
-			c.WarmCaches(s.p.WarmRanges)
-			warm[i] = append(warm[i], ms(start))
-		}
-	}
-	sec := SetupSection{Core: "Skylake", Repeats: repeats}
-	for i, name := range names {
-		row := SetupRow{Workload: name}
-		row.WarmMillis, row.IQRMillis = medianIQR(warm[i])
-		row.ResetMillis, row.ResetIQRMillis = medianIQR(reset[i])
-		row.BuildMemoryMillis, row.BuildMemoryIQR = medianIQR(build[i])
-		sec.Rows = append(sec.Rows, row)
-		sec.MeanWarmMillis += row.WarmMillis / float64(len(names))
-	}
-	return sec
-}
-
-// measureExec times insts instructions of each named workload stepped with
-// Exec.Next and scanned with Exec.Run(insts, nil), each from a fresh Exec
-// built outside the timing, interleaved over repeats rounds.
-func measureExec(names []string, insts uint64, repeats int) []ExecRow {
-	progs := make([]*prog.Program, len(names))
-	for i, name := range names {
-		w, ok := workload.ByName(name)
-		if !ok {
-			fatalf("workload %q not found", name)
-		}
-		progs[i] = w.Build()
-	}
-	nsPerInst := func(start time.Time) float64 { return float64(time.Since(start).Nanoseconds()) / float64(insts) }
-	next := make([][]float64, len(names))
-	scan := make([][]float64, len(names))
-	var d isa.DynInst
-	for r := 0; r < repeats; r++ {
-		for i, p := range progs {
-			ex := prog.NewExec(p)
-			start := time.Now()
-			for n := uint64(0); n < insts && ex.Next(&d); n++ {
-			}
-			next[i] = append(next[i], nsPerInst(start))
-			ex = prog.NewExec(p)
-			start = time.Now()
-			ex.Run(insts, nil)
-			scan[i] = append(scan[i], nsPerInst(start))
-		}
-	}
-	rows := make([]ExecRow, len(names))
-	for i, name := range names {
-		rows[i].Workload = name
-		rows[i].NextNsPerInst, rows[i].NextIQRNs = medianIQR(next[i])
-		rows[i].ScanNsPerInst, rows[i].ScanIQRNs = medianIQR(scan[i])
-	}
-	return rows
-}
-
-// medianIQR returns the median and the interquartile range of ts, which it
-// sorts.
-func medianIQR(ts []float64) (median, iqr float64) {
-	sort.Float64s(ts)
-	q := func(f float64) float64 { return ts[int(f*float64(len(ts)-1)+0.5)] }
-	return q(0.5), q(0.75) - q(0.25)
-}
-
 // measureParallelRegions runs one long (warmup, measure) slice split into
 // K functionally-warmed regions simulated by K workers, for K = 1,2,4,8.
 func measureParallelRegions(wlName string, warm, measure uint64) ParallelRegions {
@@ -812,10 +543,6 @@ func measureParallelRegions(wlName string, warm, measure uint64) ParallelRegions
 		fatalf("workload %q not found", wlName)
 	}
 	pr := ParallelRegions{Workload: wlName, WarmupInsts: warm, MeasureInsts: measure}
-	if runtime.NumCPU() < 8 {
-		pr.Note = fmt.Sprintf("host has %d CPU(s); worker counts above that serialize",
-			runtime.NumCPU())
-	}
 	for _, k := range []int{1, 2, 4, 8} {
 		opt := harness.Options{
 			WarmupInsts: warm, MeasureInsts: measure,
@@ -833,9 +560,12 @@ func measureParallelRegions(wlName string, warm, measure uint64) ParallelRegions
 			WallSeconds: time.Since(start).Seconds(),
 			IPC:         res.IPC,
 		}
-		if len(pr.Rows) > 0 {
+		switch {
+		case k > runtime.GOMAXPROCS(0):
+			row.Unmeasurable = true
+		case len(pr.Rows) > 0:
 			row.Speedup = pr.Rows[0].WallSeconds / row.WallSeconds
-		} else {
+		default:
 			row.Speedup = 1
 		}
 		pr.Rows = append(pr.Rows, row)
@@ -952,23 +682,16 @@ func main() {
 		*ops = 8
 	}
 
-	fmt.Printf("fvpbench: cycle loop (%d ops x %d insts on %s, replay vs generator input)...\n",
+	fmt.Printf("fvpbench: cycle loop (%d ops x %d insts on %s)...\n",
 		*ops, cycleLoopInstsPerOp, reference.Workload)
-	cl := measureCycleLoop(reference.Workload, cycleLoopInstsPerOp, *ops, false, true)
-	clGen := measureCycleLoop(reference.Workload, cycleLoopInstsPerOp, *ops, false, false)
-	clGen.Note = "functional generator inside the timed region"
-	replaySec := ReplaySection{Generator: clGen, Replay: cl}
-	if clGen.InstPerSec > 0 {
-		replaySec.Speedup = cl.InstPerSec / clGen.InstPerSec
-	}
-	fmt.Printf("  replay %.0f inst/s, %.1f allocs/op, %.0f B/op, skip ratio %.3f\n",
+	cl := measureCycleLoop(reference.Workload, cycleLoopInstsPerOp, *ops, false)
+	fmt.Printf("  %.0f inst/s, %.1f allocs/op, %.0f B/op, skip ratio %.3f\n",
 		cl.InstPerSec, cl.AllocsPerOp, cl.BytesPerOp, cl.SkipRatio)
-	fmt.Printf("  generator %.0f inst/s (replay %.2fx)\n", clGen.InstPerSec, replaySec.Speedup)
 
 	fmt.Printf("fvpbench: mem-bound cycle loop (%d ops x %d insts on %s, elided vs ticking)...\n",
 		*ops, memBoundInstsPerOp, memBoundWorkload)
-	mb := measureCycleLoop(memBoundWorkload, memBoundInstsPerOp, *ops, false, true)
-	mbTick := measureCycleLoop(memBoundWorkload, memBoundInstsPerOp, *ops, true, true)
+	mb := measureCycleLoop(memBoundWorkload, memBoundInstsPerOp, *ops, false)
+	mbTick := measureCycleLoop(memBoundWorkload, memBoundInstsPerOp, *ops, true)
 	mbTick.Note = "ticking path (Config.DisableIdleElision)"
 	elisionSpeedup := mb.InstPerSec / mbTick.InstPerSec
 	fmt.Printf("  elided %.0f inst/s (skip ratio %.3f) vs ticking %.0f inst/s: %.2fx\n",
@@ -985,19 +708,6 @@ func main() {
 	fmt.Printf("  detailed %.0f inst/s vs functional %.0f inst/s: %.2fx\n",
 		ff.DetailedInstPerSec, ff.FunctionalInstPerSec, ff.Speedup)
 
-	golden := workload.GoldenMatrix()
-	ff.ExecInsts, ff.ExecRepeats = execInsts, 9
-	if *quick {
-		ff.ExecRepeats = 5
-	}
-	fmt.Printf("fvpbench: functional executor (%d golden workloads, %d insts, Exec.Next vs Exec.Run(n, nil), %d interleaved repeats)...\n",
-		len(golden), ff.ExecInsts, ff.ExecRepeats)
-	ff.Exec = measureExec(golden, ff.ExecInsts, ff.ExecRepeats)
-	for _, r := range ff.Exec {
-		fmt.Printf("  %-10s next %6.2f ns/inst (IQR %.2f)  scan %6.2f ns/inst (IQR %.2f)\n",
-			r.Workload, r.NextNsPerInst, r.NextIQRNs, r.ScanNsPerInst, r.ScanIQRNs)
-	}
-
 	paperOpt := opt
 	paperOpt.WarmupInsts, paperOpt.MeasureInsts = paperWarmInsts, paperMeasureInsts
 	if *quick {
@@ -1013,19 +723,6 @@ func main() {
 	fmt.Printf("  detailed %.1fs vs functional %.1fs wall: %.2fx\n",
 		suitePaper.WallSeconds, suiteFun.WallSeconds, suiteSpeedup)
 
-	setupRepeats := 9
-	if *quick {
-		setupRepeats = 5
-	}
-	fmt.Printf("fvpbench: per-run set-up (BuildMemory, Core.Reset, Core.WarmCaches on %d golden workloads, %d interleaved repeats)...\n",
-		len(golden), setupRepeats)
-	setup := measureSetup(golden, setupRepeats)
-	for _, r := range setup.Rows {
-		fmt.Printf("  %-10s build %7.3f ms (IQR %.3f)  reset %7.3f ms (IQR %.3f)  warm %7.3f ms (IQR %.3f)\n", r.Workload,
-			r.BuildMemoryMillis, r.BuildMemoryIQR, r.ResetMillis, r.ResetIQRMillis, r.WarmMillis, r.IQRMillis)
-	}
-	fmt.Printf("  mean %.3f ms per warm\n", setup.MeanWarmMillis)
-
 	regWarm, regMeasure := uint64(50_000), uint64(800_000)
 	if *quick {
 		regWarm, regMeasure = 20_000, 200_000
@@ -1034,6 +731,11 @@ func main() {
 		regionWorkload, regWarm, regMeasure)
 	regions := measureParallelRegions(regionWorkload, regWarm, regMeasure)
 	for _, r := range regions.Rows {
+		if r.Unmeasurable {
+			fmt.Printf("  K=%d: unmeasurable (%d workers > GOMAXPROCS %d), stitched IPC %.4f\n",
+				r.Regions, r.Workers, runtime.GOMAXPROCS(0), r.IPC)
+			continue
+		}
 		fmt.Printf("  K=%d: %.2fs wall (%.2fx), stitched IPC %.4f\n",
 			r.Regions, r.WallSeconds, r.Speedup, r.IPC)
 	}
@@ -1061,32 +763,6 @@ func main() {
 	suiteSampled := measureSuite(ws, sampOpt, false)
 	fmt.Printf("  %.2f sim MIPS aggregate, geomean FVP speedup %.4f, %.1fs wall\n",
 		suiteSampled.SimMIPS, suiteSampled.GeomeanFVP, suiteSampled.WallSeconds)
-
-	storeOps := 400
-	if *quick {
-		storeOps = 100
-	}
-	fmt.Printf("fvpbench: store backends (%d ops, memory vs disk)...\n", storeOps)
-	storeRows := []StoreBench{
-		measureStore("memory", func() (store.Stores, error) {
-			return store.Stores{
-				Jobs:    store.NewMemoryJobStore(),
-				Results: store.NewMemoryResultStore(storeOps+16, 0),
-				Blobs:   store.NewMemoryBlobStore(0),
-			}, nil
-		}, storeOps),
-		measureStore("disk", func() (store.Stores, error) {
-			dir, err := os.MkdirTemp("", "fvpbench-store-*")
-			if err != nil {
-				return store.Stores{}, err
-			}
-			return disk.Open(dir, disk.Options{CacheEntries: storeOps + 16})
-		}, storeOps),
-	}
-	for _, r := range storeRows {
-		fmt.Printf("  %s: result put %.0f ns/op, cached submit %.0f ns/op\n",
-			r.Backend, r.ResultPutNsPerOp, r.CachedSubmitNsPerOp)
-	}
 
 	svcRequests := 2048
 	if *quick {
@@ -1117,17 +793,11 @@ func main() {
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		RequestPlane: RequestPlaneEnv{
-			BatchWindow:    svcBatchWindow.String(),
-			BatchMax:       svcBatchMax,
-			Replicas:       0, // the flood runs single-node; cluster replication is off
-			ReplicateAfter: 3,
-		},
+
 		CycleLoop:          cl,
 		Reference:          reference,
 		SpeedupVsReference: cl.InstPerSec / reference.InstPerSec,
-		AllocsReduction:    reference.AllocsPerOp / maxf(cl.AllocsPerOp, 1),
-		Replay:             replaySec,
+		AllocsReduction:    reference.AllocsPerOp / max(cl.AllocsPerOp, 1),
 
 		CycleLoopMemBound:        mb,
 		CycleLoopMemBoundTicking: mbTick,
@@ -1138,9 +808,7 @@ func main() {
 		SuiteFunctional:    suiteFun,
 		SuiteWarmupSpeedup: suiteSpeedup,
 		ParallelRegions:    regions,
-		Setup:              setup,
 		Sampling:           SamplingSection{SpeedupVsDetail: sampRun, Suite: suiteSampled},
-		Store:              storeRows,
 		Service:            svcSection,
 
 		Suite: suite,
@@ -1224,11 +892,4 @@ func checkGate(path string, rep Report) error {
 		return fmt.Errorf("benchmark gate failed against %s", path)
 	}
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,51 +7,17 @@
 //	tracegen -workload cassandra -n 1000000 -o cassandra.fvptrace
 //	tracegen -workload mcf -n 50000 -stats
 //	tracegen -workload omnetpp -n 20 -print
-//	tracegen -suite traces/ -n 30000
-//
-// -suite dumps every golden-matrix workload (workload.GoldenMatrix) to
-// <dir>/<name>.fvptrace in one invocation — the inputs for the replay
-// bench path and the CI replay matrix.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"fvp"
 	"fvp/internal/isa"
-	"fvp/internal/prog"
 	"fvp/internal/trace"
-	"fvp/internal/workload"
 )
-
-// dumpSuite writes n instructions of every golden-matrix workload to
-// dir/<name>.fvptrace.
-func dumpSuite(dir string, n uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, name := range workload.GoldenMatrix() {
-		w, ok := workload.ByName(name)
-		if !ok {
-			return fmt.Errorf("unknown golden workload %q", name)
-		}
-		p := w.Build()
-		data, got, err := trace.Record(prog.NewExec(p), n)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		path := filepath.Join(dir, name+".fvptrace")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d instructions (%d bytes, %.2f B/inst) to %s\n",
-			got, len(data), float64(len(data))/float64(got), path)
-	}
-	return nil
-}
 
 func main() {
 	var (
@@ -60,17 +26,8 @@ func main() {
 		out   = flag.String("o", "", "output trace file (binary format)")
 		stats = flag.Bool("stats", false, "print instruction-mix statistics")
 		list  = flag.Bool("print", false, "print each instruction (use small -n)")
-		suite = flag.String("suite", "", "dump all golden-matrix workloads to this directory (-n insts each)")
 	)
 	flag.Parse()
-
-	if *suite != "" {
-		if err := dumpSuite(*suite, *n); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	ex, _, err := fvp.BuildWorkloadSource(*wl)
 	if err != nil {

@@ -1,16 +1,16 @@
 package ooo_test
 
-// Layout-equivalence matrix for the packed-trace replay path: every golden
-// case is re-run with the instruction stream recorded once into the binary
-// trace format (internal/trace) and replayed from memory, then compared
-// against the SAME testdata/golden_stats.json snapshot the generator-driven
-// matrix pins. Passing means two things at once: the trace codec round-trips
-// every field the timing model reads, and the SoA core is source-agnostic —
-// bit-identical stats whether micro-ops arrive from the functional generator
-// or from a MemReader. This is the guarantee that lets fvpbench and the
-// cycle-loop benchmarks use replay as their default input.
+// Layout-equivalence matrix for the packed-trace input: every golden case is
+// re-run with the instruction stream recorded once into the binary trace
+// format (internal/trace) and decoded back through the streaming Reader,
+// then compared against the SAME testdata/golden_stats.json snapshot the
+// generator-driven matrix pins. Passing means two things at once: the trace
+// codec round-trips every field the timing model reads, and the SoA core is
+// source-agnostic — bit-identical stats whether micro-ops arrive from the
+// functional generator or from a recorded trace.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -47,7 +47,7 @@ func TestGoldenStatsReplay(t *testing.T) {
 				key := goldenKey(wl.Name, cfg.Name, pred)
 				t.Run(key, func(t *testing.T) {
 					t.Parallel()
-					src, err := trace.NewMemReader(data, false)
+					src, err := trace.NewReader(bytes.NewReader(data))
 					if err != nil {
 						t.Fatal(err)
 					}

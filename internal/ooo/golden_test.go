@@ -36,10 +36,9 @@ const goldenInsts = 20_000
 
 const goldenPath = "testdata/golden_stats.json"
 
-// goldenWorkloads is the canonical 13-entry matrix slice, shared with
-// `tracegen -suite` and the replay equivalence test so every consumer of
-// "the golden matrix" means the same workloads (see workload.GoldenMatrix
-// for the selection rationale).
+// goldenWorkloads is the canonical 13-entry matrix slice, shared with the
+// replay equivalence test so every consumer of "the golden matrix" means the
+// same workloads (see workload.GoldenMatrix for the selection rationale).
 var goldenWorkloads = workload.GoldenMatrix()
 
 // goldenPredictors names the predictor arms: the no-VP baseline, the

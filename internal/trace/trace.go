@@ -8,6 +8,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -119,6 +120,31 @@ func (w *Writer) Count() uint64 { return w.n }
 func (w *Writer) Flush() error {
 	w.closed = true
 	return w.w.Flush()
+}
+
+// Record encodes up to n instructions from src into a packed in-memory
+// trace (header included) and returns the buffer and the count actually
+// recorded (short only when src runs dry).
+func Record(src interface{ Next(*isa.DynInst) bool }, n uint64) ([]byte, uint64, error) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	var d isa.DynInst
+	var i uint64
+	for i = 0; i < n; i++ {
+		if !src.Next(&d) {
+			break
+		}
+		if err := w.Append(&d); err != nil {
+			return nil, i, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, i, err
+	}
+	return buf.Bytes(), i, nil
 }
 
 // Reader decodes a stream produced by Writer. It implements the core's

@@ -209,3 +209,51 @@ func TestCompactness(t *testing.T) {
 		t.Errorf("%.1f bytes per instruction — encoding too fat", perInst)
 	}
 }
+
+// TestRecordStopsAtSourceEnd: Record reports a short count when the source
+// runs dry, and the recorded prefix decodes back to the source's output.
+func TestRecordStopsAtSourceEnd(t *testing.T) {
+	in := sample()
+	src := &sliceSource{insts: in}
+	data, n, err := Record(src, uint64(len(in))+100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != uint64(len(in)) {
+		t.Fatalf("recorded %d, want %d", n, len(in))
+	}
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d isa.DynInst
+	i := 0
+	for ; r.Next(&d); i++ {
+		want := in[i]
+		want.Seq = uint64(i) // readers assign seq themselves
+		if d != want {
+			t.Errorf("record %d: got %+v want %+v", i, d, want)
+		}
+	}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	if i != len(in) {
+		t.Fatalf("decoded %d records, want %d", i, len(in))
+	}
+}
+
+// sliceSource replays a fixed slice through the generator interface.
+type sliceSource struct {
+	insts []isa.DynInst
+	pos   int
+}
+
+func (s *sliceSource) Next(d *isa.DynInst) bool {
+	if s.pos >= len(s.insts) {
+		return false
+	}
+	*d = s.insts[s.pos]
+	s.pos++
+	return true
+}

@@ -142,8 +142,8 @@ func All() []Workload { return slices.Clone(table) }
 // every Table-III category appears, with double coverage of the DRAM-bound
 // pointer chasers (mcf, mcf-17) where idle-cycle elision skips most. The
 // cycle-exact snapshot tests (internal/ooo/golden_test.go), the replay
-// equivalence matrix, and `tracegen -suite` all iterate this one list so a
-// trace dumped by the tool is exactly a golden-matrix input.
+// equivalence matrix and the benchmark's golden-workload specs all iterate
+// this one list.
 func GoldenMatrix() []string {
 	return []string{
 		"omnetpp", "mcf", "gcc", "hmmer", "sjeng", "libquantum",
