@@ -192,19 +192,19 @@ func TestUnitDirectBranches(t *testing.T) {
 	u := NewDefaultUnit()
 	// Unconditional direct jump is always correct.
 	d := isa.DynInst{Op: isa.OpJump, PC: 0x100, Taken: true, Target: 0x200}
-	if o := u.PredictAndTrain(&d); !o.Correct {
+	if !u.PredictAndTrain(&d) {
 		t.Error("jump must always predict correctly")
 	}
 	// Call pushes RAS; matching return predicts correctly.
 	c := isa.DynInst{Op: isa.OpCall, PC: 0x300, Taken: true, Target: 0x400}
 	u.PredictAndTrain(&c)
 	r := isa.DynInst{Op: isa.OpRet, PC: 0x404, Taken: true, Target: 0x304}
-	if o := u.PredictAndTrain(&r); !o.Correct {
+	if !u.PredictAndTrain(&r) {
 		t.Error("return after call must predict via RAS")
 	}
 	// Unbalanced return mispredicts.
 	r2 := isa.DynInst{Op: isa.OpRet, PC: 0x408, Taken: true, Target: 0x999}
-	if o := u.PredictAndTrain(&r2); o.Correct {
+	if u.PredictAndTrain(&r2) {
 		t.Error("return with empty RAS must mispredict")
 	}
 }
@@ -220,8 +220,7 @@ func TestUnitConditionalTrainsHistory(t *testing.T) {
 	// Train to convergence.
 	correct := 0
 	for i := 0; i < 500; i++ {
-		o := u.PredictAndTrain(&d)
-		if o.Correct {
+		if u.PredictAndTrain(&d) {
 			correct++
 		}
 	}

@@ -7,9 +7,9 @@ import "fvp/internal/isa"
 // per fetched control-flow instruction.
 //
 // The trace-driven core knows the architecturally-correct path, so Unit's
-// job is to decide *whether the front end would have followed it*: Predict
-// returns the predicted outcome, the core compares it with the trace and
-// charges a misprediction bubble when they differ.
+// job is to decide *whether the front end would have followed it*:
+// PredictAndTrain reports whether its prediction matches the trace, and the
+// core charges a misprediction bubble when it does not.
 type Unit struct {
 	Dir      *TAGE
 	Indirect *ITTAGE
@@ -40,70 +40,35 @@ func (u *Unit) Reset() {
 	u.Hist = GlobalHistory{}
 }
 
-// Outcome describes one prediction and carries the trainer state.
-type Outcome struct {
-	// PredTaken is the predicted direction (always true for
-	// unconditional control flow).
-	PredTaken bool
-	// PredTarget is the predicted target when PredTaken (0 when the
-	// target predictor had no entry).
-	PredTarget uint64
-	// Correct is true when both direction and target match the trace.
-	Correct bool
-
-	dirState lookupState
-	ittState ittState
-	isCond   bool
-	isInd    bool
-	histSnap GlobalHistory
-}
-
 // PredictAndTrain performs the front-end prediction for the resolved branch
 // d, immediately trains the predictors with the architectural outcome, and
-// updates global history. This retire-time-equivalent in-order train/update
-// sequence is the standard idealization in trace-driven models: predictor
-// state never sees wrong-path pollution, which slightly flatters all
-// configurations equally.
-func (u *Unit) PredictAndTrain(d *isa.DynInst) Outcome {
-	o := Outcome{histSnap: u.Hist.Snapshot()}
+// updates global history. It reports whether both the predicted direction
+// and target match the trace. This retire-time-equivalent in-order
+// train/update sequence is the standard idealization in trace-driven
+// models: predictor state never sees wrong-path pollution, which slightly
+// flatters all configurations equally.
+func (u *Unit) PredictAndTrain(d *isa.DynInst) (correct bool) {
+	histSnap := u.Hist.Snapshot()
 	switch d.Op {
 	case isa.OpBranch:
-		o.isCond = true
-		pred, st := u.Dir.Predict(d.PC, &u.Hist)
-		o.dirState = st
-		o.PredTaken = pred
 		// Direct branch: target comes from the decoder, so a correct
 		// direction implies a correct next PC.
-		o.PredTarget = d.Target
-		o.Correct = pred == d.Taken
-		u.Dir.Update(d.PC, &o.histSnap, st, d.Taken)
+		pred, st := u.Dir.Predict(d.PC, &u.Hist)
+		u.Dir.Update(d.PC, &histSnap, st, d.Taken)
 		u.Hist.Push(d.PC, d.Taken)
-	case isa.OpJump:
-		o.PredTaken = true
-		o.PredTarget = d.Target
-		o.Correct = true
+		return pred == d.Taken
 	case isa.OpCall:
-		o.PredTaken = true
-		o.PredTarget = d.Target
-		o.Correct = true
 		u.Ras.Push(d.PC + isa.InstBytes)
+		return true
 	case isa.OpRet:
-		o.PredTaken = true
 		tgt, ok := u.Ras.Pop()
-		o.PredTarget = tgt
-		o.Correct = ok && tgt == d.Target
+		return ok && tgt == d.Target
 	case isa.OpIndirect:
-		o.isInd = true
 		tgt, ok, st := u.Indirect.Predict(d.PC, &u.Hist)
-		o.ittState = st
-		o.PredTaken = true
-		o.PredTarget = tgt
-		o.Correct = ok && tgt == d.Target
-		u.Indirect.Update(d.PC, &o.histSnap, st, d.Target)
-	default:
-		o.Correct = true
+		u.Indirect.Update(d.PC, &histSnap, st, d.Target)
+		return ok && tgt == d.Target
 	}
-	return o
+	return true // direct jumps and non-branches
 }
 
 // Warm is the functional-warmup tap: it trains the unit on one
@@ -114,7 +79,7 @@ func (u *Unit) PredictAndTrain(d *isa.DynInst) Outcome {
 // detailed run's fetch stage would — the only thing dropped is the timing
 // charge, which the warmer approximates itself.
 func (u *Unit) Warm(d *isa.DynInst) (mispredicted bool) {
-	return !u.PredictAndTrain(d).Correct
+	return !u.PredictAndTrain(d)
 }
 
 // CondMispredictRate returns the conditional-branch mispredict rate so far.

@@ -10,8 +10,6 @@
 // the fill instead of double-fetching.
 package cache
 
-import "math/bits"
-
 // Line is one cache line's metadata.
 type line struct {
 	tag     uint64
@@ -64,6 +62,13 @@ type Cache struct {
 	lineBits uint
 	tick     uint64 // LRU clock
 
+	// Set s's lines are current only while setEpoch[s] == epoch. Reset
+	// and WarmFill bump epoch instead of writing lines, and set rebuilds
+	// a stale set from the spans in warm on its first touch.
+	epoch    uint64
+	setEpoch []uint64
+	warm     []warmSpan
+
 	mshrFree []uint64 // busy-until cycle per MSHR
 	// pendingMSHR is the slot reserved by the most recent missing Lookup,
 	// released by the matching Fill; -1 when none. The hierarchy drives
@@ -88,6 +93,7 @@ func New(cfg Config) *Cache {
 		cfg:         cfg,
 		lines:       make([]line, nSets*cfg.Ways),
 		setMask:     uint64(nSets - 1),
+		setEpoch:    make([]uint64, nSets),
 		pendingMSHR: -1,
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
@@ -104,32 +110,70 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Reset restores the cache to its just-constructed state (all lines invalid,
 // MSHRs free, stats zeroed) without reallocating the line array, so a cache
-// can be reused across simulation runs.
+// can be reused across simulation runs. It writes no line: every set goes
+// stale and reads as empty from its first touch on.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	c.epoch++
+	c.warm = c.warm[:0]
 	c.tick = 0
-	for i := range c.mshrFree {
-		c.mshrFree[i] = 0
-	}
+	clear(c.mshrFree)
 	c.pendingMSHR = -1
 	c.Stats = Stats{}
 }
 
-// LineAddr maps a byte address to its line-aligned address.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
-
 func (c *Cache) setOf(addr uint64) []line { return c.set((addr >> c.lineBits) & c.setMask) }
 
-// set returns the ways of set s.
+// set returns the ways of set s, rebuilding them first if s is stale.
 func (c *Cache) set(s uint64) []line {
 	w := c.cfg.Ways
 	i := int(s) * w
-	return c.lines[i : i+w : i+w]
+	set := c.lines[i : i+w : i+w]
+	if c.setEpoch[s] != c.epoch {
+		c.rebuild(s, set)
+	}
+	return set
+}
+
+// rebuild makes the stale set s current: it clears its ways and replays,
+// in order, the lines of the warm spans that map to s, leaving the state
+// WarmFill's per-line Fill loop would have left.
+//
+// That loop only makes clean fills with data ready at cycle 0 on a cache
+// fresh from New or Reset. Re-filling a present line then changes nothing
+// but the clock, and an insert stamps a larger lru than any before it, so
+// the set is a FIFO whose k-th insert lands in way k mod ways. A span's
+// lines in s are first+k for k = (s-first) mod sets, then every sets-th
+// line; line first+k, if inserted, gets lru = base+k+1, the clock value its
+// own Fill would have set. A span's lines are distinct, so only a line an
+// earlier span left can be present, and once the span has made `ways`
+// inserts into s none is left: of its remaining lines in s, all inserts,
+// only the last `ways` stay.
+func (c *Cache) rebuild(s uint64, set []line) {
+	clear(set)
+	c.setEpoch[s] = c.epoch
+	ways, sets := uint64(len(set)), c.setMask+1
+	var ins uint64 // inserts into s so far
+	for _, sp := range c.warm {
+		var made uint64 // inserts sp has made into s
+		for k := (s - sp.first) & c.setMask; k < sp.n; k += sets {
+			if made == ways {
+				if rest := (sp.n-1-k)/sets + 1; rest > ways {
+					k += (rest - ways) * sets
+					ins += rest - ways
+				}
+			}
+			if tag := sp.first + k; !present(set, tag) {
+				set[ins%ways] = line{tag: tag, valid: true, lru: sp.base + k + 1}
+				ins++
+				made++
+			}
+		}
+	}
 }
 
 func (c *Cache) tagOf(addr uint64) uint64 { return addr >> c.lineBits }
 
-// Probe reports whether addr is present (no state change, no stats).
+// Probe reports whether addr is present (no visible state change, no stats).
 func (c *Cache) Probe(addr uint64) bool {
 	return present(c.setOf(addr), c.tagOf(addr))
 }
@@ -302,16 +346,9 @@ func (c *Cache) Fill(addr uint64, readyAt uint64, write, prefetched bool) {
 // Span is the byte range [Base, Base+Bytes) of a warm pass.
 type Span struct{ Base, Bytes uint64 }
 
-// spanLines returns the line number (= tag) of s's first line and how many
-// lines the walk from that line up to Base+Bytes visits.
-func (c *Cache) spanLines(s Span) (first, n uint64) {
-	start := s.Base >> c.lineBits << c.lineBits
-	end := s.Base + s.Bytes
-	if end <= start {
-		return start >> c.lineBits, 0
-	}
-	return start >> c.lineBits, (end-start-1)>>c.lineBits + 1
-}
+// warmSpan is a Span as WarmFill records it: its n lines from line number
+// (= tag) first, filled while the LRU clock went from base to base+n.
+type warmSpan struct{ first, n, base uint64 }
 
 // WarmFill installs the lines of spans in order, each span from its first
 // line up to Base+Bytes, as clean lines with data ready at cycle 0. The
@@ -319,134 +356,22 @@ func (c *Cache) spanLines(s Span) (first, n uint64) {
 // each of those lines in turn. It panics unless the cache is untouched since
 // New or Reset.
 //
-// On such a cache every one of those fills is a clean insert or a re-fill of
-// a present line, which advances only the LRU clock, so each set behaves as a
-// FIFO: its k-th insert lands in way k mod Ways, and the way of its next
-// insert is the one pickVictim names. WarmFill therefore writes each line
-// straight into its way. Only a span that overlaps an earlier one can find a
-// line present, and replayHits bounds where. Of the lines after that, a span
-// writes only the last C = sets×ways, which overwrite every way; the clock
-// and the per-set insert counts advance arithmetically over the lines in
-// between. fifoRun writes those lines set by set, in the order of the
-// set-major line slice.
+// WarmFill writes no line: it records the spans, advances the clock past
+// them and makes every set stale, so each set replays its share of the
+// spans on its first touch (see rebuild).
 func (c *Cache) WarmFill(spans []Span) {
 	if c.tick != 0 {
 		panic("cache: WarmFill on " + c.cfg.Name + " after it was touched")
 	}
-	capLines := uint64(len(c.lines))
-	for i, sp := range spans {
-		first, n := c.spanLines(sp)
-		if n == 0 {
-			continue
-		}
-		var j uint64 // lines [0, j) may hit; no line from j on is present
-		for _, prev := range spans[:i] {
-			if pf, pn := c.spanLines(prev); pn > 0 && first < pf+pn && pf < first+n {
-				j = c.replayHits(first, n)
-				break
-			}
-		}
-		var skip uint64
-		if n-j > capLines {
-			skip = n - j - capLines
-		}
-		c.fifoRun(first+j, skip, n-j-skip)
-	}
-}
-
-// fifoInsert inserts the line tag, not present, as Fill would.
-func (c *Cache) fifoInsert(tag uint64) {
-	c.tick++
-	set := c.set(tag & c.setMask)
-	set[c.pickVictim(set)] = line{tag: tag, valid: true, lru: c.tick}
-}
-
-// fifoRun accounts for inserting the skip+n consecutive lines from first,
-// none of them present, and writes the last n. skip is 0 unless n = C, so
-// the written lines overwrite every way.
-//
-// It writes set by set, so it walks the set-major line slice in order (but
-// for one wrap past set 0) and only over the min(n, sets) sets the lines
-// touch. Of the written lines, those in set s are start+i, start+i+sets, ...
-// for i = (s - start) mod sets, where start = first+skip. They take
-// consecutive ways from the way the set's next insert would take:
-// pickVictim's, advanced by the skipped lines that fell in s. The line
-// start+k gets lru tick+skip+1+k, the clock value its own insert would have
-// set.
-func (c *Cache) fifoRun(first, skip, n uint64) {
-	ways := uint64(c.cfg.Ways)
-	sets := c.setMask + 1
-	start := first + skip
-	lru := c.tick + skip + 1
-	for i := uint64(0); i < n && i < sets; i++ {
-		s := (start + i) & c.setMask
-		set := c.set(s)
-		w := uint64(c.pickVictim(set))
-		if skip > 0 {
-			skipped := skip / sets
-			if (s-first)&c.setMask < skip%sets {
-				skipped++
-			}
-			w = (w + skipped) % ways
-		}
-		for k := i; k < n; k += sets {
-			set[w] = line{tag: start + k, valid: true, lru: lru + k}
-			if w++; w == ways {
-				w = 0
-			}
+	for _, sp := range spans {
+		start := sp.Base >> c.lineBits << c.lineBits
+		if end := sp.Base + sp.Bytes; end > start {
+			n := (end-start-1)>>c.lineBits + 1
+			c.warm = append(c.warm, warmSpan{first: start >> c.lineBits, n: n, base: c.tick})
+			c.tick += n
 		}
 	}
-	c.tick += skip + n
-}
-
-// replayHits fills the head of the span [first, first+n) that may re-fill a
-// line an earlier span left in the cache, and returns its length.
-//
-// In set s the span's k-th line is first + j + k·sets for a fixed j. A line
-// left in s at FIFO rank r (the number of further inserts into s it
-// survives) is found present iff its k, minus the hits s takes before it, is
-// at most r. So s takes no hit at all unless one of its lines has k ≤ r, and
-// after s has taken `ways` inserts from the span no earlier line is left in
-// it. replayHits checks lines against their set only in such sets, and only
-// until then: at most 2C lines, and none when no set can take a hit.
-func (c *Cache) replayHits(first, n uint64) uint64 {
-	ways := uint64(c.cfg.Ways)
-	setBits := bits.OnesCount64(c.setMask)
-	var left []uint64 // per set: inserts still checked for hits; nil until a set is watched
-	watched := 0
-	for j := uint64(0); j < n && j <= c.setMask; j++ {
-		s := (first + j) & c.setMask
-		set := c.set(s)
-		next := uint64(c.pickVictim(set))
-		for w := range set {
-			l := &set[w]
-			rank := (uint64(w) + ways - next) % ways
-			if l.valid && l.tag-first < n && (l.tag-first)>>setBits <= rank {
-				if left == nil {
-					left = make([]uint64, c.setMask+1)
-				}
-				left[s] = ways
-				watched++
-				break
-			}
-		}
-	}
-	var j uint64
-	for ; watched > 0 && j < n; j++ {
-		tag := first + j
-		s := tag & c.setMask
-		if left[s] > 0 {
-			if present(c.set(s), tag) {
-				c.tick++
-				continue
-			}
-			if left[s]--; left[s] == 0 {
-				watched--
-			}
-		}
-		c.fifoInsert(tag)
-	}
-	return j
+	c.epoch++
 }
 
 func (c *Cache) releaseMSHR(at uint64) {
@@ -455,15 +380,4 @@ func (c *Cache) releaseMSHR(at uint64) {
 	}
 	c.mshrFree[c.pendingMSHR] = at
 	c.pendingMSHR = -1
-}
-
-// Invalidate drops addr's line if present (used by tests).
-func (c *Cache) Invalidate(addr uint64) {
-	tag := c.tagOf(addr)
-	set := c.setOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i] = line{}
-		}
-	}
 }

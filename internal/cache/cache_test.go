@@ -124,16 +124,6 @@ func TestCachePrefetchStats(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := smallCache()
-	c.Lookup(0, 0x4000, false)
-	c.Fill(0x4000, 0, false, false)
-	c.Invalidate(0x4000)
-	if c.Probe(0x4000) {
-		t.Error("invalidated line still present")
-	}
-}
-
 func TestCacheMissRate(t *testing.T) {
 	c := smallCache()
 	c.Lookup(0, 0x1000, false)

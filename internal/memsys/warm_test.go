@@ -35,6 +35,11 @@ func refWarm(h *memsys.Hierarchy, ranges []memsys.WarmRange) {
 	}
 }
 
+// epochFields are cache.Cache's lazy-set bookkeeping, the one part of its
+// state the comparison leaves out: it records how a set is brought current,
+// and a per-line reference has nothing to bring current.
+var epochFields = map[string]bool{"epoch": true, "setEpoch": true, "warm": true}
+
 // firstDiff returns the path of the first difference between a and b,
 // walking every field, exported or not (cache lines, LRU clocks, MSHRs,
 // stats, DRAM banks, prefetcher tables), or "" when they are equal.
@@ -50,7 +55,11 @@ func firstDiff(path string, a, b reflect.Value) string {
 		return firstDiff(path, a.Elem(), b.Elem())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			if d := firstDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+			name := a.Type().Field(i).Name
+			if a.Type() == reflect.TypeOf(cache.Cache{}) && epochFields[name] {
+				continue
+			}
+			if d := firstDiff(path+"."+name, a.Field(i), b.Field(i)); d != "" {
 				return d
 			}
 		}
@@ -87,18 +96,28 @@ func firstDiff(path string, a, b reflect.Value) string {
 	return ""
 }
 
+// bringCurrent probes one line of every set of every cache in h, so each
+// stale set is rebuilt and its lines hold what a first touch would find.
+func bringCurrent(h *memsys.Hierarchy) {
+	for _, c := range []*cache.Cache{h.L1I, h.L1D, h.L2, h.LLC} {
+		cfg := c.Config()
+		for s := 0; s < cfg.SizeBytes/cfg.LineBytes/cfg.Ways; s++ {
+			c.Probe(uint64(s * cfg.LineBytes))
+		}
+	}
+}
+
 // checkWarm warms one fresh hierarchy in bulk and another line by line and
-// reports the first state difference.
+// reports the first state difference once every set is current.
 func checkWarm(t *testing.T, cfg memsys.Config, ranges []memsys.WarmRange) {
 	t.Helper()
 	bulk, ref := memsys.New(cfg), memsys.New(cfg)
 	bulk.WarmRanges(ranges)
 	refWarm(ref, ranges)
-	if reflect.DeepEqual(bulk, ref) {
-		return
+	bringCurrent(bulk)
+	if d := firstDiff("Hierarchy", reflect.ValueOf(bulk), reflect.ValueOf(ref)); d != "" {
+		t.Fatalf("bulk warm of %+v differs from the per-line reference at %s", ranges, d)
 	}
-	t.Fatalf("bulk warm of %+v differs from the per-line reference at %s",
-		ranges, firstDiff("Hierarchy", reflect.ValueOf(bulk), reflect.ValueOf(ref)))
 }
 
 // TestWarmRangesMatchesPerLineFill pins the bulk warm to the per-line
@@ -149,11 +168,11 @@ func TestWarmRangesEdgeCases(t *testing.T) {
 		"tail overlap":       {{Base: 0x90000, Bytes: 4 * llc, Level: memsys.LvlL2}, {Base: 0x90000 + 4*llc - 200, Bytes: 4 * llc, Level: memsys.LvlL1}},
 		"covering overlap":   {{Base: 0xc0, Bytes: 816, Level: memsys.LvlL1}, {Base: 0x80, Bytes: 12336, Level: memsys.LvlL1}},
 		"levels ignored":     {{Base: 0xa0000, Bytes: 4096, Level: memsys.LvlMem}, {Base: 0xa0000, Bytes: 4096, Level: -1}},
-		// The set-major writes: a run that starts mid-way through the
+		// The per-set replay: a range that starts mid-way through the
 		// LLC's 32 sets and wraps past set 0 into sets an earlier range
-		// filled, a run shorter than every level's set count, and a run
-		// after a replayHits prefix that took hits, with and without a
-		// skipped middle.
+		// filled, a range shorter than every level's set count, and a
+		// range that re-fills lines an earlier one left, with and without
+		// lines skipped once it has filled a set's every way.
 		"wrap past set 0":          {{Base: 0xd0000, Bytes: 50 * 64, Level: memsys.LvlLLC}, {Base: 0xe0000 + 20*64, Bytes: 40 * 64, Level: memsys.LvlLLC}},
 		"shorter than set":         {{Base: 0xf0000 + 5*64 + 8, Bytes: 4*64 + 10, Level: memsys.LvlL1}},
 		"tail after hits":          {{Base: 0x110000, Bytes: 40 * 64, Level: memsys.LvlLLC}, {Base: 0x110000 + 30*64, Bytes: 300 * 64, Level: memsys.LvlLLC}},

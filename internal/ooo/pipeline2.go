@@ -452,8 +452,7 @@ func (c *Core) stageFetch() {
 		if !fe.replayed {
 			if fe.d.Op.IsBranch() {
 				fe.histSnap = c.bu.Hist.Bits(32)
-				out := c.bu.PredictAndTrain(&fe.d)
-				fe.mispred = !out.Correct
+				fe.mispred = !c.bu.PredictAndTrain(&fe.d)
 			} else {
 				fe.histSnap = c.bu.Hist.Bits(32)
 			}

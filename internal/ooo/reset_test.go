@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fvp/internal/memsys"
 	"fvp/internal/ooo"
 	"fvp/internal/prog"
 	"fvp/internal/vp"
@@ -20,7 +21,7 @@ import (
 
 const resetInsts = 15_000
 
-func runFresh(t *testing.T, name string, cfg ooo.Config, pred string) (ooo.RunStats, vp.Meter) {
+func runFresh(t *testing.T, name string, cfg ooo.Config, pred string, cold bool) (ooo.RunStats, vp.Meter) {
 	t.Helper()
 	wl, ok := workload.ByName(name)
 	if !ok {
@@ -28,7 +29,9 @@ func runFresh(t *testing.T, name string, cfg ooo.Config, pred string) (ooo.RunSt
 	}
 	p := wl.Build()
 	c := ooo.New(cfg, goldenPredictor(pred), prog.NewExec(p), p.BuildMemory())
-	c.WarmCaches(p.WarmRanges)
+	if !cold {
+		c.WarmCaches(p.WarmRanges)
+	}
 	st := c.Run(resetInsts)
 	return st, c.Meter
 }
@@ -39,14 +42,19 @@ func TestResetEquivalence(t *testing.T) {
 	legs := []struct {
 		workload string
 		pred     string
+		cold     bool // run without WarmCaches
 	}{
-		{"mcf", "FVP"},    // pointer-chasing, heavy DRAM traffic
-		{"hmmer", "none"}, // compute-bound, no value prediction
-		{"omnetpp", "MR"}, // branchy, MR store links
-		{"mcf", "FVP"},    // repeat leg 1: reuse after reuse
+		{"mcf", "FVP", false},    // pointer-chasing, heavy DRAM traffic
+		{"hmmer", "none", false}, // compute-bound, no value prediction
+		{"omnetpp", "MR", false}, // branchy, MR store links
+		{"mcf", "FVP", false},    // repeat leg 1: reuse after reuse
+		// Reset leaves the previous leg's lines in place, stale; with no
+		// warm to rebuild them, every set must read as empty.
+		{"mcf", "FVP", true},
 	}
 	for _, cfg := range []ooo.Config{ooo.Skylake(), ooo.Skylake2X()} {
 		var pooled *ooo.Core
+		var prev *prog.Program
 		for i, leg := range legs {
 			wl, ok := workload.ByName(leg.workload)
 			if !ok {
@@ -58,11 +66,21 @@ func TestResetEquivalence(t *testing.T) {
 			} else {
 				pooled.Reset(goldenPredictor(leg.pred), prog.NewExec(p), p.BuildMemory())
 			}
-			pooled.WarmCaches(p.WarmRanges)
+			if leg.cold {
+				for _, r := range prev.WarmRanges {
+					if lvl := pooled.Hierarchy().ProbeLevel(r.Base); lvl != memsys.LvlMem {
+						t.Errorf("%s leg %d: line %#x the previous leg warmed reads as in %v after Reset",
+							cfg.Name, i, r.Base, lvl)
+					}
+				}
+			} else {
+				pooled.WarmCaches(p.WarmRanges)
+			}
+			prev = p
 			gotStats := pooled.Run(resetInsts)
 			gotMeter := pooled.Meter
 
-			wantStats, wantMeter := runFresh(t, leg.workload, cfg, leg.pred)
+			wantStats, wantMeter := runFresh(t, leg.workload, cfg, leg.pred, leg.cold)
 			if !reflect.DeepEqual(gotStats, wantStats) {
 				t.Errorf("%s leg %d (%s/%s): reset core RunStats diverged from fresh core:\n got: %+v\nwant: %+v",
 					cfg.Name, i, leg.workload, leg.pred, gotStats, wantStats)
