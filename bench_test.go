@@ -494,7 +494,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := uint64(i*64) % (256 << 10)
-		if hit, _, _ := c.Lookup(uint64(i), addr, false); !hit {
+		if hit, _ := c.Lookup(uint64(i), addr, false, true); !hit {
 			c.Fill(addr, uint64(i), false, false)
 		}
 	}

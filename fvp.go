@@ -678,10 +678,13 @@ func Compare(spec RunSpec) (Comparison, error) {
 }
 
 // CompareContext is Compare with cooperative cancellation (see
-// RunContext); both the baseline and the predictor run honor ctx.
+// RunContext); both the baseline and the predictor run honor ctx. The
+// spec's Observer and Tracer tap only the predictor run: the baseline runs
+// without them.
 func CompareContext(ctx context.Context, spec RunSpec) (Comparison, error) {
 	base := spec
 	base.Predictor = PredNone
+	base.Observer, base.Tracer = nil, nil
 	b, err := RunContext(ctx, base)
 	if err != nil {
 		return Comparison{}, err

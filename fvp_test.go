@@ -272,6 +272,42 @@ func TestRunSpecTaps(t *testing.T) {
 	}
 }
 
+// TestCompareTapsPredictorRunOnly: Compare hands the spec's taps to the
+// predictor run alone. The Observer sees exactly the predictor run's
+// instructions, and the PipeTrace holds the same timelines as a tapped run
+// of the predictor spec by itself.
+func TestCompareTapsPredictorRunOnly(t *testing.T) {
+	spec := RunSpec{Workload: "hmmer", Predictor: PredFVP,
+		WarmupInsts: 2_000, MeasureInsts: 5_000, ObserverInterval: 1_000}
+	var insts uint64
+	spec.Observer = observerFunc(func(m IntervalMetrics) { insts += m.Insts })
+	spec.Tracer = NewPipeTrace(64)
+	c, err := CompareContext(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if insts != c.Pred.Insts {
+		t.Errorf("Observer saw %d instructions, predictor run measured %d", insts, c.Pred.Insts)
+	}
+
+	alone := spec
+	alone.Observer = nil
+	alone.Tracer = NewPipeTrace(64)
+	if _, err := RunContext(context.Background(), alone); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := spec.Tracer.WriteChromeTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := alone.Tracer.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("Compare's trace (%d bytes) differs from the predictor run's own (%d bytes)", got.Len(), want.Len())
+	}
+}
+
 type observerFunc func(IntervalMetrics)
 
 func (f observerFunc) OnInterval(m IntervalMetrics) { f(m) }

@@ -70,17 +70,3 @@ func (u *Unit) PredictAndTrain(d *isa.DynInst) (correct bool) {
 	}
 	return true // direct jumps and non-branches
 }
-
-// Warm is the functional-warmup tap: it trains the unit on one
-// architectural control-flow instruction and reports whether the front end
-// would have mispredicted it. Because PredictAndTrain already runs in order
-// on the correct path (the trace-driven idealization), warming trains the
-// direction/indirect tables, the RAS and global history exactly as a
-// detailed run's fetch stage would — the only thing dropped is the timing
-// charge, which the warmer approximates itself.
-func (u *Unit) Warm(d *isa.DynInst) (mispredicted bool) {
-	return !u.PredictAndTrain(d)
-}
-
-// CondMispredictRate returns the conditional-branch mispredict rate so far.
-func (u *Unit) CondMispredictRate() float64 { return u.Dir.MispredictRate() }

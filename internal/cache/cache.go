@@ -70,9 +70,10 @@ type Cache struct {
 	warm     []warmSpan
 
 	mshrFree []uint64 // busy-until cycle per MSHR
-	// pendingMSHR is the slot reserved by the most recent missing Lookup,
-	// released by the matching Fill; -1 when none. The hierarchy drives
-	// Lookup/Fill as an atomic pair per level, so one slot suffices.
+	// pendingMSHR is the slot reserved by the most recent missing Lookup
+	// with mshr set, released by the matching Fill; -1 when none. The
+	// hierarchy drives Lookup/Fill as an atomic pair per level, so one slot
+	// suffices.
 	pendingMSHR int
 
 	Stats Stats
@@ -188,48 +189,15 @@ func present(set []line, tag uint64) bool {
 }
 
 // Lookup performs a demand access at cycle now. On a hit it returns
-// (true, readyCycle, 0): readyCycle already includes the hit latency and any
-// residual fill delay. On a miss it returns (false, startCycle, victimAddr):
-// startCycle is when the miss may proceed to the next level (after MSHR
-// availability), and victimAddr is the dirty line that must be written back
-// (0 when none). The caller must complete the miss with Fill.
-func (c *Cache) Lookup(now uint64, addr uint64, write bool) (hit bool, when uint64, victim uint64) {
-	c.Stats.Accesses++
-	c.tick++
-	tag := c.tagOf(addr)
-	set := c.setOf(addr)
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			c.Stats.Hits++
-			if l.prefet {
-				c.Stats.PrefetchHits++
-				l.prefet = false
-			}
-			l.lru = c.tick
-			if write {
-				l.dirty = true
-			}
-			ready := now
-			if l.readyAt > ready {
-				ready = l.readyAt
-			}
-			return true, ready + c.cfg.Latency, 0
-		}
-	}
-	c.Stats.Misses++
-	start := c.allocMSHR(now)
-	return false, start, c.victimAddr(addr)
-}
-
-// WarmAccess is the functional-warmup variant of Lookup: it updates tag,
-// LRU and dirty state and counts the access like a demand reference, but
-// reserves no MSHR — warmup trains occupancy and replacement state, not
-// memory-level parallelism, and the warmer's pseudo-clock has no notion of
-// outstanding-miss backpressure. On a miss the caller installs the line
-// with Fill as usual (Fill finds no pending reservation and releases
-// nothing).
-func (c *Cache) WarmAccess(now uint64, addr uint64, write bool) (hit bool, when uint64) {
+// (true, readyCycle): readyCycle already includes the hit latency and any
+// residual fill delay. On a miss it returns (false, startCycle), and the
+// caller must complete the miss with Fill. With mshr set, a miss reserves
+// an MSHR and startCycle is when one is free; without it (functional
+// warmup, which trains occupancy and replacement state but not
+// memory-level parallelism) a miss reserves none and starts at now, and
+// the Fill releases nothing. The flag changes only timing: tags, LRU,
+// dirty and prefetch bits and Stats move the same either way.
+func (c *Cache) Lookup(now uint64, addr uint64, write, mshr bool) (hit bool, when uint64) {
 	c.Stats.Accesses++
 	c.tick++
 	tag := c.tagOf(addr)
@@ -254,11 +222,14 @@ func (c *Cache) WarmAccess(now uint64, addr uint64, write bool) (hit bool, when 
 		}
 	}
 	c.Stats.Misses++
+	if mshr {
+		now = c.allocMSHR(now)
+	}
 	return false, now
 }
 
 // allocMSHR returns the cycle the miss can begin, honouring MSHR limits.
-// The reservation is released by Fill via freeMSHRAt.
+// The reservation is released by Fill via releaseMSHR.
 func (c *Cache) allocMSHR(now uint64) uint64 {
 	if c.mshrFree == nil {
 		return now
@@ -279,16 +250,6 @@ func (c *Cache) allocMSHR(now uint64) uint64 {
 	return start
 }
 
-func (c *Cache) victimAddr(addr uint64) uint64 {
-	set := c.setOf(addr)
-	v := c.pickVictim(set)
-	l := &set[v]
-	if l.valid && l.dirty {
-		return l.tag << c.lineBits
-	}
-	return 0
-}
-
 func (c *Cache) pickVictim(set []line) int {
 	v := 0
 	for i := range set {
@@ -305,7 +266,7 @@ func (c *Cache) pickVictim(set []line) int {
 // Fill installs addr's line with data arriving at readyAt. write marks the
 // line dirty immediately (write-allocate). prefetched tags the line as
 // prefetcher-installed for stats. It releases the MSHR reserved by the
-// preceding Lookup miss.
+// preceding Lookup miss, if that reserved one.
 func (c *Cache) Fill(addr uint64, readyAt uint64, write, prefetched bool) {
 	c.tick++
 	set := c.setOf(addr)

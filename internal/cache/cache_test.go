@@ -13,12 +13,12 @@ func smallCache() *Cache {
 
 func TestCacheHitAfterFill(t *testing.T) {
 	c := smallCache()
-	hit, when, _ := c.Lookup(10, 0x1000, false)
+	hit, when := c.Lookup(10, 0x1000, false, true)
 	if hit {
 		t.Fatal("cold cache must miss")
 	}
 	c.Fill(0x1000, 50, false, false)
-	hit, when, _ = c.Lookup(100, 0x1000, false)
+	hit, when = c.Lookup(100, 0x1000, false, true)
 	if !hit {
 		t.Fatal("must hit after fill")
 	}
@@ -29,9 +29,9 @@ func TestCacheHitAfterFill(t *testing.T) {
 
 func TestCacheFillDelayRespected(t *testing.T) {
 	c := smallCache()
-	c.Lookup(0, 0x2000, false)
+	c.Lookup(0, 0x2000, false, true)
 	c.Fill(0x2000, 200, false, false) // data arrives at cycle 200
-	_, when, _ := c.Lookup(100, 0x2000, false)
+	_, when := c.Lookup(100, 0x2000, false, true)
 	if when != 205 {
 		t.Errorf("access before fill-arrival ready at %d, want 205", when)
 	}
@@ -39,12 +39,12 @@ func TestCacheFillDelayRespected(t *testing.T) {
 
 func TestCacheSameLineDifferentOffsets(t *testing.T) {
 	c := smallCache()
-	c.Lookup(0, 0x1000, false)
+	c.Lookup(0, 0x1000, false, true)
 	c.Fill(0x1000, 0, false, false)
-	if hit, _, _ := c.Lookup(1, 0x103F, false); !hit {
+	if hit, _ := c.Lookup(1, 0x103F, false, true); !hit {
 		t.Error("same 64B line must hit")
 	}
-	if hit, _, _ := c.Lookup(2, 0x1040, false); hit {
+	if hit, _ := c.Lookup(2, 0x1040, false, true); hit {
 		t.Error("next line must miss")
 	}
 }
@@ -54,11 +54,11 @@ func TestCacheLRUEviction(t *testing.T) {
 	// Three lines in the same set (stride = sets*line = 512).
 	a, b, d := uint64(0x0000), uint64(0x0200), uint64(0x0400)
 	for _, addr := range []uint64{a, b} {
-		c.Lookup(0, addr, false)
+		c.Lookup(0, addr, false, true)
 		c.Fill(addr, 0, false, false)
 	}
-	c.Lookup(1, a, false) // touch a: b becomes LRU
-	c.Lookup(2, d, false)
+	c.Lookup(1, a, false, true) // touch a: b becomes LRU
+	c.Lookup(2, d, false, true)
 	c.Fill(d, 2, false, false) // evicts b
 	if !c.Probe(a) || !c.Probe(d) {
 		t.Error("a and d must be resident")
@@ -72,7 +72,7 @@ func TestCacheWritebackCounting(t *testing.T) {
 	c := smallCache()
 	// Dirty-fill three same-set lines: the third fill evicts a dirty line.
 	for i, addr := range []uint64{0x0000, 0x0200, 0x0400} {
-		c.Lookup(uint64(i), addr, true)
+		c.Lookup(uint64(i), addr, true, true)
 		c.Fill(addr, uint64(i), true, false)
 	}
 	if c.Stats.Writebacks != 1 {
@@ -80,31 +80,27 @@ func TestCacheWritebackCounting(t *testing.T) {
 	}
 }
 
-func TestCacheVictimAddressReported(t *testing.T) {
-	c := smallCache()
-	c.Lookup(0, 0x0000, true)
-	c.Fill(0x0000, 0, true, false)
-	c.Lookup(1, 0x0200, true)
-	c.Fill(0x0200, 1, true, false)
-	_, _, victim := c.Lookup(2, 0x0400, false)
-	if victim != 0x0000 {
-		t.Errorf("victim = %#x, want %#x (oldest dirty line)", victim, 0x0000)
-	}
-	c.Fill(0x0400, 2, false, false)
-}
-
 func TestCacheMSHRBackpressure(t *testing.T) {
 	c := New(Config{Name: "M", SizeBytes: 1024, Ways: 2, LineBytes: 64, Latency: 1, MSHRs: 1})
-	_, start1, _ := c.Lookup(10, 0x1000, false)
+	_, start1 := c.Lookup(10, 0x1000, false, true)
 	if start1 != 10 {
 		t.Fatalf("first miss starts at %d", start1)
 	}
 	c.Fill(0x1000, 500, false, false) // occupies the only MSHR until 500
-	_, start2, _ := c.Lookup(20, 0x2000, false)
+	_, start2 := c.Lookup(20, 0x2000, false, true)
 	if start2 != 500 {
 		t.Errorf("second miss starts at %d, want 500 (MSHR busy)", start2)
 	}
 	c.Fill(0x2000, 600, false, false)
+	// Without the flag a miss neither waits for the MSHR nor frees it.
+	if _, start3 := c.Lookup(30, 0x3000, false, false); start3 != 30 {
+		t.Errorf("MSHR-free miss starts at %d, want 30", start3)
+	}
+	c.Fill(0x3000, 40, false, false)
+	if _, start4 := c.Lookup(50, 0x4000, false, true); start4 != 600 {
+		t.Errorf("miss after an MSHR-free fill starts at %d, want 600 (MSHR still busy)", start4)
+	}
+	c.Fill(0x4000, 700, false, false)
 }
 
 func TestCachePrefetchStats(t *testing.T) {
@@ -113,12 +109,12 @@ func TestCachePrefetchStats(t *testing.T) {
 	if c.Stats.PrefetchFills != 1 {
 		t.Errorf("prefetch fills = %d", c.Stats.PrefetchFills)
 	}
-	c.Lookup(1, 0x3000, false)
+	c.Lookup(1, 0x3000, false, true)
 	if c.Stats.PrefetchHits != 1 {
 		t.Errorf("prefetch hits = %d", c.Stats.PrefetchHits)
 	}
 	// Second demand hit no longer counts as a prefetch hit.
-	c.Lookup(2, 0x3000, false)
+	c.Lookup(2, 0x3000, false, true)
 	if c.Stats.PrefetchHits != 1 {
 		t.Errorf("prefetch hits after demand = %d", c.Stats.PrefetchHits)
 	}
@@ -126,9 +122,9 @@ func TestCachePrefetchStats(t *testing.T) {
 
 func TestCacheMissRate(t *testing.T) {
 	c := smallCache()
-	c.Lookup(0, 0x1000, false)
+	c.Lookup(0, 0x1000, false, true)
 	c.Fill(0x1000, 0, false, false)
-	c.Lookup(1, 0x1000, false)
+	c.Lookup(1, 0x1000, false, true)
 	if mr := c.Stats.MissRate(); mr != 0.5 {
 		t.Errorf("miss rate = %v, want 0.5", mr)
 	}
@@ -150,7 +146,7 @@ func TestCacheFillThenProbeProperty(t *testing.T) {
 		c := smallCache()
 		for _, a16 := range addrs {
 			addr := uint64(a16)
-			c.Lookup(0, addr, false)
+			c.Lookup(0, addr, false, true)
 			c.Fill(addr, 0, false, false)
 			if !c.Probe(addr) {
 				return false

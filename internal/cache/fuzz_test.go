@@ -54,10 +54,10 @@ func stateDiff(a, b *Cache) string {
 // 3–4 plus one count its spans (4 bytes each: a 13-bit base in bytes, so
 // bases are unaligned and spans overlap, and a 16-bit length, up to 32×
 // the cache). Then come 3-byte accesses until one whose first byte is 0
-// ends the round: a kind, an address byte (a 32-byte granule in the same
-// 8 KB as the spans), and a byte giving the cycle, the write and prefetch
-// flags and the fill delay. The seed corpus is in
-// testdata/fuzz/FuzzCacheReuse.
+// ends the round: a kind (Probe, Lookup with and without an MSHR, or
+// Fill), an address byte (a 32-byte granule in the same 8 KB as the
+// spans), and a byte giving the cycle, the write and prefetch flags and
+// the fill delay. The seed corpus is in testdata/fuzz/FuzzCacheReuse.
 func FuzzCacheReuse(f *testing.F) {
 	cfg := Config{Name: "F", SizeBytes: 2 << 10, Ways: 4, LineBytes: 64, Latency: 3, MSHRs: 2}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -101,23 +101,13 @@ func FuzzCacheReuse(f *testing.F) {
 					if g, w := got.Probe(a), ref.Probe(a); g != w {
 						t.Fatalf("round %d: Probe(%#x) = %v, want %v", round, a, g, w)
 					}
-				case 1:
-					gh, gw, gv := got.Lookup(now, a, write)
-					wh, ww, wv := ref.Lookup(now, a, write)
-					if gh != wh || gw != ww || gv != wv {
-						t.Fatalf("round %d: Lookup(%d, %#x, %v) = %v, %d, %#x, want %v, %d, %#x",
-							round, now, a, write, gh, gw, gv, wh, ww, wv)
-					}
-					if !gh {
-						got.Fill(a, ready, write, false)
-						ref.Fill(a, ready, write, false)
-					}
-				case 2:
-					gh, gw := got.WarmAccess(now, a, write)
-					wh, ww := ref.WarmAccess(now, a, write)
+				case 1, 2:
+					mshr := kind%4 == 1
+					gh, gw := got.Lookup(now, a, write, mshr)
+					wh, ww := ref.Lookup(now, a, write, mshr)
 					if gh != wh || gw != ww {
-						t.Fatalf("round %d: WarmAccess(%d, %#x, %v) = %v, %d, want %v, %d",
-							round, now, a, write, gh, gw, wh, ww)
+						t.Fatalf("round %d: Lookup(%d, %#x, %v, %v) = %v, %d, want %v, %d",
+							round, now, a, write, mshr, gh, gw, wh, ww)
 					}
 					if !gh {
 						got.Fill(a, ready, write, false)

@@ -407,13 +407,7 @@ func TestClusterStatusAndMetrics(t *testing.T) {
 		t.Error("no forwards recorded against the owner")
 	}
 
-	mresp, err := http.Get(tc.srvs[other].URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	body, _ := io.ReadAll(mresp.Body)
-	text := string(body)
+	text := metricsText(t, tc.srvs[other].URL)
 	for _, want := range []string{
 		"# TYPE fvpd_forwarded_total counter",
 		"# TYPE fvpd_forward_errors_total counter",
@@ -423,6 +417,42 @@ func TestClusterStatusAndMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+
+	// Each node observes every request it answers once: the entry node
+	// its client's submit, the owner the forwarded copy.
+	const submits = `fvpd_request_seconds_count{path="POST /v1/runs",outcome="ok"} `
+	for _, id := range []string{other, owner} {
+		if want := submits + "1"; !strings.Contains(metricsText(t, tc.srvs[id].URL), want) {
+			t.Errorf("%s exposition missing %q", id, want)
+		}
+	}
+	// A submit the entry node owns itself goes to the service's own
+	// handler, and must still be counted once.
+	insts := 15001
+	for tc.nodes[other].Owner(simd.SpecKey(specFor(insts))) != other {
+		insts++
+	}
+	if resp, _ := postBody(t, tc.srvs[other].URL+"/v1/runs?wait=1", specBody(insts, "")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("self-owned submit: HTTP %d", resp.StatusCode)
+	}
+	if want := submits + "2"; !strings.Contains(metricsText(t, tc.srvs[other].URL), want) {
+		t.Errorf("after a self-owned submit, %s exposition missing %q", other, want)
+	}
+}
+
+// metricsText fetches a node's Prometheus exposition.
+func metricsText(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestSingleNodePassThrough: with no peers the handler is the plain

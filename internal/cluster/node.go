@@ -209,20 +209,22 @@ func (n *Node) Owner(specKey string) string { return n.ring.owner(specKey) }
 // Handler returns the cluster-aware HTTP API. In single-node mode only
 // GET /v1/cluster is added; the rest of the surface is the service's
 // own handler, untouched. In cluster mode, submits and by-ID lookups
-// are routed by ownership and everything else stays local.
+// are routed by ownership and everything else stays local. The node's
+// own routes are instrumented like the service's, and a request one of
+// them hands on to the service is observed once, under the node's route.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/cluster", n.handleClusterStatus)
-	if !n.clustered() {
-		mux.Handle("/", n.inner)
-		return mux
+	route := func(pattern string, h http.HandlerFunc) {
+		mux.Handle(pattern, n.svc.Instrument(pattern, h))
 	}
-	mux.HandleFunc("POST /v1/runs", n.handleSubmit)
-	mux.HandleFunc("PUT /v1/replicas/{key}", n.handleReplicaPut)
-	byID := func(pattern string) { mux.HandleFunc(pattern, n.handleByID) }
-	byID("GET /v1/runs/{id}")
-	byID("GET /v1/runs/{id}/trace")
-	byID("DELETE /v1/runs/{id}")
+	route("GET /v1/cluster", n.handleClusterStatus)
+	if n.clustered() {
+		route("POST /v1/runs", n.handleSubmit)
+		route("PUT /v1/replicas/{key}", n.handleReplicaPut)
+		route("GET /v1/runs/{id}", n.handleByID)
+		route("GET /v1/runs/{id}/trace", n.handleByID)
+		route("DELETE /v1/runs/{id}", n.handleByID)
+	}
 	mux.Handle("/", n.inner)
 	return mux
 }

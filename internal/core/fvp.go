@@ -172,15 +172,6 @@ func (f *FVP) Name() string {
 // Config returns the predictor's configuration.
 func (f *FVP) Config() Config { return f.cfg }
 
-// MRStats returns (associations, renames) of the embedded Memory Renaming
-// component (zeros when disabled) plus how many PCs were marked candidates.
-func (f *FVP) MRStats() (assoc, renames, marks uint64) {
-	if f.mr != nil {
-		assoc, renames = f.mr.Associations, f.mr.Renames
-	}
-	return assoc, renames, f.mrMarks
-}
-
 func pcTag(pc uint64) uint16 {
 	t := uint16(pc>>2) ^ uint16(pc>>15)
 	if t == 0 {

@@ -110,25 +110,6 @@ func (s *StoreSets) Violation(loadPC, storePC uint64) {
 	}
 }
 
-// WarmLoad is the functional-warmup tap for a load: the same SSIT/LFST
-// consultation a dispatch would do, keeping lookup statistics and table
-// touch order identical to a detailed run's in-order dispatch stream.
-func (s *StoreSets) WarmLoad(pc uint64) {
-	s.DispatchLoad(pc)
-}
-
-// WarmStore is the functional-warmup tap for a store: dispatch followed by
-// immediate completion, since functional execution retires in order and a
-// store is never pending past the next instruction. Note the inherent
-// limit of functional warming here: SSIT assignments come only from
-// ordering violations, which cannot occur without out-of-order issue, so
-// store-sets training still begins with detailed execution — warming keeps
-// the LFST protocol state consistent, nothing more.
-func (s *StoreSets) WarmStore(pc, seq uint64) {
-	s.DispatchStore(pc, seq)
-	s.CompleteStore(pc, seq)
-}
-
 // Reset restores the just-constructed state (empty SSIT and LFST, zeroed
 // counters) without reallocating the tables.
 func (s *StoreSets) Reset() {

@@ -122,8 +122,12 @@ func (h *Hierarchy) ProbeLevel(addr uint64) Level {
 
 // Load performs a demand data read for addr at cycle now on behalf of the
 // load at pc. It returns the cycle the data is usable and the serving level.
-func (h *Hierarchy) Load(now uint64, addr, pc uint64) (done uint64, lvl Level) {
-	done, lvl = h.demand(now, addr, false)
+// mshr is passed to every cache Lookup on the way: the pipeline sets it,
+// so misses wait for and occupy MSHRs; functional warmup clears it, so
+// the walk trains the same tags, LRU, DRAM rows and prefetcher tables
+// without modelling memory-level parallelism.
+func (h *Hierarchy) Load(now uint64, addr, pc uint64, mshr bool) (done uint64, lvl Level) {
+	done, lvl = h.demand(now, addr, false, mshr)
 	h.DemandLoads[lvl]++
 	if h.stride != nil {
 		for _, pa := range h.stride.Observe(pc, addr) {
@@ -141,40 +145,42 @@ func (h *Hierarchy) Load(now uint64, addr, pc uint64) (done uint64, lvl Level) {
 // Store performs a demand data write for addr at cycle now (write-allocate,
 // write-back). Store completion is off the critical path in the core model;
 // the returned cycle is when the line was available to accept the write.
-func (h *Hierarchy) Store(now uint64, addr uint64) (done uint64, lvl Level) {
-	return h.demand(now, addr, true)
+// mshr is as for Load.
+func (h *Hierarchy) Store(now uint64, addr uint64, mshr bool) (done uint64, lvl Level) {
+	return h.demand(now, addr, true, mshr)
 }
 
-// Fetch performs an instruction fetch for the line containing pc.
-func (h *Hierarchy) Fetch(now uint64, pc uint64) (done uint64, lvl Level) {
-	hit, when, _ := h.L1I.Lookup(now, pc, false)
+// Fetch performs an instruction fetch for the line containing pc. mshr is
+// as for Load.
+func (h *Hierarchy) Fetch(now uint64, pc uint64, mshr bool) (done uint64, lvl Level) {
+	hit, when := h.L1I.Lookup(now, pc, false, mshr)
 	if hit {
 		return when, LvlL1
 	}
-	ready, lvl := h.belowL1(when, pc)
+	ready, lvl := h.belowL1(when, pc, mshr)
 	h.L1I.Fill(pc, ready, false, false)
 	return ready, lvl
 }
 
 // demand walks the data-side hierarchy.
-func (h *Hierarchy) demand(now uint64, addr uint64, write bool) (uint64, Level) {
-	hit, when, _ := h.L1D.Lookup(now, addr, write)
+func (h *Hierarchy) demand(now uint64, addr uint64, write, mshr bool) (uint64, Level) {
+	hit, when := h.L1D.Lookup(now, addr, write, mshr)
 	if hit {
 		return when, LvlL1
 	}
-	ready, lvl := h.belowL1(when, addr)
+	ready, lvl := h.belowL1(when, addr, mshr)
 	h.L1D.Fill(addr, ready, write, false)
 	return ready, lvl
 }
 
 // belowL1 resolves a miss that has already been charged the L1 access,
 // starting the L2 access at cycle start.
-func (h *Hierarchy) belowL1(start uint64, addr uint64) (uint64, Level) {
-	hit, when, _ := h.L2.Lookup(start, addr, false)
+func (h *Hierarchy) belowL1(start uint64, addr uint64, mshr bool) (uint64, Level) {
+	hit, when := h.L2.Lookup(start, addr, false, mshr)
 	if hit {
 		return when, LvlL2
 	}
-	hit, when3, _ := h.LLC.Lookup(when, addr, false)
+	hit, when3 := h.LLC.Lookup(when, addr, false, mshr)
 	if hit {
 		h.L2.Fill(addr, when3, false, false)
 		return when3, LvlLLC
@@ -209,73 +215,6 @@ func (h *Hierarchy) prefetch(now uint64, addr uint64, toL1 bool) {
 	if toL1 {
 		h.L1D.Fill(addr, ready, false, true)
 	}
-}
-
-// WarmLoad is the functional-warmup tap for a demand data read: it performs
-// the same tag/LRU/replacement walk and prefetcher training as Load on an
-// advancing pseudo-clock, but through the MSHR-free cache path (warmup
-// models occupancy, not memory-level parallelism). The returned level feeds
-// the warmer's criticality signals (L1Miss/LLCMiss).
-func (h *Hierarchy) WarmLoad(now uint64, addr, pc uint64) (done uint64, lvl Level) {
-	done, lvl = h.warmDemand(now, addr, false)
-	h.DemandLoads[lvl]++
-	if h.stride != nil {
-		for _, pa := range h.stride.Observe(pc, addr) {
-			h.prefetch(now, pa, true)
-		}
-	}
-	if h.stream != nil && lvl >= LvlL2 {
-		for _, pa := range h.stream.Observe(addr) {
-			h.prefetch(now, pa, false)
-		}
-	}
-	return done, lvl
-}
-
-// WarmStore is the functional-warmup tap for a demand data write
-// (write-allocate, like Store, without MSHR accounting).
-func (h *Hierarchy) WarmStore(now uint64, addr uint64) (done uint64, lvl Level) {
-	return h.warmDemand(now, addr, true)
-}
-
-// WarmFetch is the functional-warmup tap for an instruction fetch.
-func (h *Hierarchy) WarmFetch(now uint64, pc uint64) (done uint64, lvl Level) {
-	hit, when := h.L1I.WarmAccess(now, pc, false)
-	if hit {
-		return when, LvlL1
-	}
-	ready, lvl := h.warmBelowL1(when, pc)
-	h.L1I.Fill(pc, ready, false, false)
-	return ready, lvl
-}
-
-// warmDemand is demand() on the MSHR-free warm path.
-func (h *Hierarchy) warmDemand(now uint64, addr uint64, write bool) (uint64, Level) {
-	hit, when := h.L1D.WarmAccess(now, addr, write)
-	if hit {
-		return when, LvlL1
-	}
-	ready, lvl := h.warmBelowL1(when, addr)
-	h.L1D.Fill(addr, ready, write, false)
-	return ready, lvl
-}
-
-// warmBelowL1 is belowL1 on the MSHR-free warm path: same level walk, same
-// fill placement, same DRAM row/bank training.
-func (h *Hierarchy) warmBelowL1(start uint64, addr uint64) (uint64, Level) {
-	hit, when := h.L2.WarmAccess(start, addr, false)
-	if hit {
-		return when, LvlL2
-	}
-	hit, when3 := h.LLC.WarmAccess(when, addr, false)
-	if hit {
-		h.L2.Fill(addr, when3, false, false)
-		return when3, LvlLLC
-	}
-	memDone := h.Dram.Access(when3, addr) + h.memReturn
-	h.LLC.Fill(addr, memDone, false, false)
-	h.L2.Fill(addr, memDone, false, false)
-	return memDone, LvlMem
 }
 
 // WarmRange asks for the lines of [Base, Base+Bytes) to start resident in

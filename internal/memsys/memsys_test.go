@@ -29,7 +29,7 @@ func TestLevelString(t *testing.T) {
 
 func TestLoadMissPathAndRefill(t *testing.T) {
 	h := New(testConfig())
-	done, lvl := h.Load(0, 0x10000, 0x400)
+	done, lvl := h.Load(0, 0x10000, 0x400, true)
 	if lvl != LvlMem {
 		t.Fatalf("cold load served by %v", lvl)
 	}
@@ -37,7 +37,7 @@ func TestLoadMissPathAndRefill(t *testing.T) {
 		t.Errorf("memory load done at %d, implausibly fast", done)
 	}
 	// Second access to the same line: L1 hit at hit latency.
-	done2, lvl2 := h.Load(done, 0x10000, 0x400)
+	done2, lvl2 := h.Load(done, 0x10000, 0x400, true)
 	if lvl2 != LvlL1 {
 		t.Errorf("refilled line served by %v", lvl2)
 	}
@@ -53,13 +53,13 @@ func TestLoadLevels(t *testing.T) {
 		{Base: 0x30000, Bytes: 64, Level: LvlL2},
 		{Base: 0x40040, Bytes: 64, Level: LvlL1}, // own L1D set: the loads above refill set 0
 	})
-	if _, lvl := h.Load(0, 0x20000, 0x400); lvl != LvlLLC {
+	if _, lvl := h.Load(0, 0x20000, 0x400, true); lvl != LvlLLC {
 		t.Errorf("LLC-warmed line served by %v", lvl)
 	}
-	if _, lvl := h.Load(0, 0x30000, 0x400); lvl != LvlL2 {
+	if _, lvl := h.Load(0, 0x30000, 0x400, true); lvl != LvlL2 {
 		t.Errorf("L2-warmed line served by %v", lvl)
 	}
-	if _, lvl := h.Load(0, 0x40040, 0x400); lvl != LvlL1 {
+	if _, lvl := h.Load(0, 0x40040, 0x400, true); lvl != LvlL1 {
 		t.Errorf("L1-warmed line served by %v", lvl)
 	}
 }
@@ -102,7 +102,7 @@ func TestWarmLevelsAreInclusive(t *testing.T) {
 
 func TestWarmTouchedHierarchyPanics(t *testing.T) {
 	for _, touch := range []func(h *Hierarchy){
-		func(h *Hierarchy) { h.Load(0, 0x1000, 0x400) },
+		func(h *Hierarchy) { h.Load(0, 0x1000, 0x400, true) },
 		func(h *Hierarchy) { h.WarmRanges([]WarmRange{{Base: 0x1000, Bytes: 64, Level: LvlLLC}}) },
 		func(h *Hierarchy) { h.L2.Fill(0x1000, 0, false, false) },
 	} {
@@ -126,7 +126,7 @@ func TestWarmTouchedHierarchyPanics(t *testing.T) {
 
 func TestStoreWriteAllocates(t *testing.T) {
 	h := New(testConfig())
-	h.Store(0, 0x90000)
+	h.Store(0, 0x90000, true)
 	if !h.L1D.Probe(0x90000) {
 		t.Error("store must write-allocate into L1D")
 	}
@@ -137,11 +137,11 @@ func TestStoreWriteAllocates(t *testing.T) {
 
 func TestFetchPath(t *testing.T) {
 	h := New(testConfig())
-	done, lvl := h.Fetch(0, 0x400000)
+	done, lvl := h.Fetch(0, 0x400000, true)
 	if lvl != LvlMem || done == 0 {
 		t.Errorf("cold fetch: %d, %v", done, lvl)
 	}
-	done2, lvl2 := h.Fetch(done, 0x400000)
+	done2, lvl2 := h.Fetch(done, 0x400000, true)
 	if lvl2 != LvlL1 || done2 != done {
 		t.Errorf("warm fetch: %d (want %d), %v", done2, done, lvl2)
 	}
@@ -158,7 +158,7 @@ func TestStridePrefetcherHidesLatency(t *testing.T) {
 	now := uint64(0)
 	for i := 0; i < 64; i++ {
 		addr := uint64(0x100000 + i*64)
-		done, lvl := h.Load(now, addr, 0x888)
+		done, lvl := h.Load(now, addr, 0x888, true)
 		if lvl == LvlL1 && i > 8 {
 			pfHits++
 		}
@@ -181,7 +181,7 @@ func TestStreamPrefetcherFillsL2(t *testing.T) {
 	served := map[Level]int{}
 	for i := 0; i < 32; i++ {
 		addr := uint64(0x200000 + i*64)
-		done, lvl := h.Load(now, addr, uint64(0x900+i*4)) // varying PC: no stride pf
+		done, lvl := h.Load(now, addr, uint64(0x900+i*4), true) // varying PC: no stride pf
 		served[lvl]++
 		now = done
 	}
@@ -195,8 +195,8 @@ func TestStreamPrefetcherFillsL2(t *testing.T) {
 
 func TestDemandLoadCounters(t *testing.T) {
 	h := New(testConfig())
-	h.Load(0, 0xA0000, 0x400)
-	h.Load(500, 0xA0000, 0x400)
+	h.Load(0, 0xA0000, 0x400, true)
+	h.Load(500, 0xA0000, 0x400, true)
 	if h.DemandLoads[LvlMem] != 1 || h.DemandLoads[LvlL1] != 1 {
 		t.Errorf("demand loads = %v", h.DemandLoads)
 	}

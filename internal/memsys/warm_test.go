@@ -36,14 +36,18 @@ func refWarm(h *memsys.Hierarchy, ranges []memsys.WarmRange) {
 }
 
 // epochFields are cache.Cache's lazy-set bookkeeping, the one part of its
-// state the comparison leaves out: it records how a set is brought current,
-// and a per-line reference has nothing to bring current.
-var epochFields = map[string]bool{"epoch": true, "setEpoch": true, "warm": true}
+// state the bulk-warm comparison leaves out: it records how a set is
+// brought current, and a per-line reference has nothing to bring current.
+var epochFields = map[string]map[string]bool{
+	"cache.Cache": {"epoch": true, "setEpoch": true, "warm": true},
+}
 
 // firstDiff returns the path of the first difference between a and b,
 // walking every field, exported or not (cache lines, LRU clocks, MSHRs,
-// stats, DRAM banks, prefetcher tables), or "" when they are equal.
-func firstDiff(path string, a, b reflect.Value) string {
+// stats, DRAM banks, prefetcher tables), or "" when they are equal. It
+// leaves out the fields skip names, by struct type ("cache.Cache") and
+// then field name.
+func firstDiff(path string, a, b reflect.Value, skip map[string]map[string]bool) string {
 	switch a.Kind() {
 	case reflect.Pointer:
 		if a.IsNil() || b.IsNil() {
@@ -52,14 +56,15 @@ func firstDiff(path string, a, b reflect.Value) string {
 			}
 			return ""
 		}
-		return firstDiff(path, a.Elem(), b.Elem())
+		return firstDiff(path, a.Elem(), b.Elem(), skip)
 	case reflect.Struct:
+		skipped := skip[a.Type().String()]
 		for i := 0; i < a.NumField(); i++ {
 			name := a.Type().Field(i).Name
-			if a.Type() == reflect.TypeOf(cache.Cache{}) && epochFields[name] {
+			if skipped[name] {
 				continue
 			}
-			if d := firstDiff(path+"."+name, a.Field(i), b.Field(i)); d != "" {
+			if d := firstDiff(path+"."+name, a.Field(i), b.Field(i), skip); d != "" {
 				return d
 			}
 		}
@@ -69,7 +74,7 @@ func firstDiff(path string, a, b reflect.Value) string {
 			return fmt.Sprintf("%s: len %d vs %d", path, a.Len(), b.Len())
 		}
 		for i := 0; i < a.Len(); i++ {
-			if d := firstDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+			if d := firstDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), skip); d != "" {
 				return d
 			}
 		}
@@ -115,7 +120,7 @@ func checkWarm(t *testing.T, cfg memsys.Config, ranges []memsys.WarmRange) {
 	bulk.WarmRanges(ranges)
 	refWarm(ref, ranges)
 	bringCurrent(bulk)
-	if d := firstDiff("Hierarchy", reflect.ValueOf(bulk), reflect.ValueOf(ref)); d != "" {
+	if d := firstDiff("Hierarchy", reflect.ValueOf(bulk), reflect.ValueOf(ref), epochFields); d != "" {
 		t.Fatalf("bulk warm of %+v differs from the per-line reference at %s", ranges, d)
 	}
 }

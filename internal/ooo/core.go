@@ -333,9 +333,6 @@ func (c *Core) WarmCaches(ranges []prog.WarmRange) {
 // Hierarchy exposes the memory system for inspection (tests, stats).
 func (c *Core) Hierarchy() *memsys.Hierarchy { return c.hier }
 
-// Branch exposes the branch unit for inspection.
-func (c *Core) Branch() *branch.Unit { return c.bu }
-
 // StoreSets exposes the disambiguation predictor for inspection.
 func (c *Core) StoreSets() *memdep.StoreSets { return c.ss }
 

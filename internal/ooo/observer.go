@@ -72,12 +72,6 @@ const (
 	EvFlush
 )
 
-// TraceEventNames labels TraceEvent values in exports.
-var TraceEventNames = [...]string{
-	"fetch", "rename", "issue", "complete", "retire",
-	"vp-predict", "vp-correct", "vp-wrong", "flush",
-}
-
 // PipeTracer receives per-instruction pipeline stage events. d points at the
 // live window entry and is only valid for the duration of the call. Tracers
 // run on the simulating goroutine; implementations bound their own memory.

@@ -182,7 +182,7 @@ func (c *Core) commit(i int) {
 	case d.Op.IsStore():
 		c.Stats.RetiredStores++
 		c.shadow.Write(d.Addr, d.Value)
-		c.hier.Store(c.now, d.Addr)
+		c.hier.Store(c.now, d.Addr, true)
 		c.ss.CompleteStore(d.PC, d.Seq)
 		c.sqCount--
 		c.stWin.popFront()
@@ -370,7 +370,7 @@ func (c *Core) retryWaitStore(ri int) {
 	si := int(cold.waitIdx)
 	if c.w.seq[si] != cold.waitSeq {
 		// The store retired: its data is in the cache by now.
-		done, lvl := c.hier.Load(c.now, c.w.inst[ri].Addr, c.w.inst[ri].PC)
+		done, lvl := c.hier.Load(c.now, c.w.inst[ri].Addr, c.w.inst[ri].PC, true)
 		c.w.state[ri] = sIssued
 		c.w.doneAt[ri] = done
 		cold.lvl = lvl

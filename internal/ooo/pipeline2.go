@@ -255,7 +255,7 @@ func (c *Core) issueLoad(ri int) {
 		}
 		return
 	}
-	done, lvl := c.hier.Load(c.now, ld.Addr, ld.PC)
+	done, lvl := c.hier.Load(c.now, ld.Addr, ld.PC, true)
 	c.w.state[ri] = sIssued
 	c.w.doneAt[ri] = done
 	cold.lvl = lvl
@@ -441,7 +441,7 @@ func (c *Core) stageFetch() {
 		// uncached line.
 		line := fe.d.PC >> 6
 		if line != c.lastFetchLine {
-			done, _ := c.hier.Fetch(c.now, fe.d.PC)
+			done, _ := c.hier.Fetch(c.now, fe.d.PC, true)
 			c.lastFetchLine = line
 			if done > c.now {
 				c.fetchStallUntil = done

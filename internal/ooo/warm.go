@@ -37,13 +37,15 @@ type warmFwdEnt struct {
 }
 
 // WarmFunctional consumes up to insts instructions from the core's source
-// and feeds them to the warming taps. It leaves Stats and Meter untouched
-// (the measured region starts from clean counters) but advances the
-// machine's pseudo-clock so cache line fill times, DRAM bank state and the
-// measured region's cycle numbering stay on one consistent timescale, as
-// they would after a detailed warmup. It returns the number of
-// instructions actually warmed (less than insts only when the source ran
-// dry, which also marks the source done for the subsequent run).
+// and trains the machine on them through the same hierarchy, branch-unit,
+// Store Sets and value-table methods the pipeline calls; only its cache
+// misses reserve no MSHR. It leaves Stats and Meter untouched (the
+// measured region starts from clean counters) but advances the machine's
+// pseudo-clock so cache line fill times, DRAM bank state and the measured
+// region's cycle numbering stay on one consistent timescale, as they would
+// after a detailed warmup. It returns the number of instructions actually
+// warmed (less than insts only when the source ran dry, which also marks
+// the source done for the subsequent run).
 func (c *Core) WarmFunctional(insts uint64) uint64 {
 	if insts == 0 {
 		return 0
@@ -96,7 +98,7 @@ func (c *Core) WarmFunctional(insts uint64) uint64 {
 		}
 		if line := d.PC >> 6; line != lastLine {
 			lastLine = line
-			if done, _ := c.hier.WarmFetch(nextFetch, d.PC); done > nextFetch {
+			if done, _ := c.hier.Fetch(nextFetch, d.PC, false); done > nextFetch {
 				nextFetch = done
 			}
 		}
@@ -108,7 +110,7 @@ func (c *Core) WarmFunctional(insts uint64) uint64 {
 		}
 		mispred := false
 		if d.Op.IsBranch() {
-			mispred = c.bu.Warm(&d)
+			mispred = !c.bu.PredictAndTrain(&d)
 		}
 
 		// Parent PCs through the architectural RAT-PC; source readiness
@@ -140,12 +142,12 @@ func (c *Core) WarmFunctional(insts uint64) uint64 {
 			}
 		}
 
-		// Execute on the warming taps.
+		// Execute: loads and stores walk the hierarchy, misses reserving no
+		// MSHR.
 		info := vp.TrainInfo{}
 		var done uint64
 		switch {
 		case d.Op.IsLoad():
-			c.ss.WarmLoad(d.PC)
 			slot := &fwd[(d.Addr>>3)%warmFwdEntries]
 			if slot.valid && slot.addr == d.Addr && d.Seq-slot.seq <= robSize {
 				// Would have forwarded from an in-flight store.
@@ -154,18 +156,23 @@ func (c *Core) WarmFunctional(insts uint64) uint64 {
 				c.pred.OnForward(d.PC, slot.pc)
 			} else {
 				var lvl memsys.Level
-				done, lvl = c.hier.WarmLoad(start, d.Addr, d.PC)
+				done, lvl = c.hier.Load(start, d.Addr, d.PC, false)
 				info.L1Miss = lvl > memsys.LvlL1
 				info.LLCMiss = lvl == memsys.LvlMem
 			}
 		case d.Op.IsStore():
-			c.ss.WarmStore(d.PC, d.Seq)
+			// SSIT entries come only from ordering violations, which need
+			// out-of-order issue, so warming cannot train Store Sets; the
+			// store dispatches and completes at once, as in-order
+			// retirement would, only to keep the LFST consistent.
+			c.ss.DispatchStore(d.PC, d.Seq)
+			c.ss.CompleteStore(d.PC, d.Seq)
 			done = start + 1
 			fwd[(d.Addr>>3)%warmFwdEntries] = warmFwdEnt{
 				addr: d.Addr, seq: d.Seq, pc: d.PC, valid: true,
 			}
 			c.shadow.Write(d.Addr, d.Value)
-			c.hier.WarmStore(done, d.Addr)
+			c.hier.Store(done, d.Addr, false)
 		default:
 			done = start + c.cfg.latencyFor(classOf(d.Op))
 		}

@@ -44,9 +44,6 @@ func (b *Builder) SetCodeBase(base uint64) *Builder {
 	return b
 }
 
-// Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.code) }
-
 // Label binds name to the next instruction index.
 func (b *Builder) Label(name string) *Builder {
 	if _, dup := b.labels[name]; dup {

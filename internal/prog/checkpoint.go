@@ -47,9 +47,6 @@ func (e *Exec) Checkpoint() *Checkpoint {
 // taken: the Seq of the next instruction a restored Exec will produce.
 func (cp *Checkpoint) Seq() uint64 { return cp.seq }
 
-// Program returns the program the checkpoint belongs to.
-func (cp *Checkpoint) Program() *Program { return cp.prog }
-
 // Restore materializes a fresh Exec resuming exactly at the checkpoint.
 // It may be called any number of times, from concurrent goroutines: each
 // call returns an independent Exec whose memory copy-on-write shares the

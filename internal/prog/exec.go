@@ -55,9 +55,6 @@ func NewExec(p *Program) *Exec {
 	return e
 }
 
-// Program returns the program being executed.
-func (e *Exec) Program() *Program { return e.prog }
-
 // Reg returns the current architectural value of r.
 func (e *Exec) Reg(r isa.Reg) uint64 { return e.regs[r] }
 

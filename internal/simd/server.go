@@ -28,7 +28,7 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(pattern, h))
+		mux.Handle(pattern, s.Instrument(pattern, h))
 	}
 	route("POST /v1/runs", s.handleSubmit)
 	route("GET /v1/runs", s.handleList)
@@ -42,14 +42,22 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// instrument records per-endpoint request counts and latency, and feeds
-// the fvpd_request_seconds{path,outcome} latency histogram — the series
-// a deployment reads its p50/p99 against the -slo-target from.
-func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.Handler {
+// Instrument wraps the handler of route pattern endpoint so each request
+// it answers is observed once: it records per-endpoint request counts and
+// latency, and feeds the fvpd_request_seconds{path,outcome} latency
+// histogram — the series a deployment reads its p50/p99 against the
+// -slo-target from. A request an outer Instrument already observes, such
+// as one a cluster node's route hands on to this service's handler, passes
+// straight through, so it is counted once, under the outer pattern.
+func (s *Service) Instrument(endpoint string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, observed := w.(*statusRecorder); observed {
+			h.ServeHTTP(w, r)
+			return
+		}
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
+		h.ServeHTTP(rec, r)
 		d := time.Since(start)
 		s.http.observe(endpoint, d)
 		s.reqHist.With(`path=` + strconv.Quote(endpoint) + `,outcome="` + outcomeLabel(rec.code) + `"`).

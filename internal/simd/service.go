@@ -945,10 +945,6 @@ func (s *Service) QueueFree() int {
 // Workers returns the worker-pool size.
 func (s *Service) Workers() int { return s.cfg.Workers }
 
-// NodeID returns the cluster node name this service was configured with
-// ("" outside cluster mode).
-func (s *Service) NodeID() string { return s.cfg.NodeID }
-
 // HasCachedResult reports whether the content-addressed result for a
 // spec key is locally cached — its own computation or a received
 // replica. The cluster layer uses it to serve replicated hot keys with

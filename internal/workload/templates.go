@@ -440,9 +440,3 @@ func buildMixed(name string, p Params) *prog.Program {
 	k.emitLoopTail("loop")
 	return k.finish()
 }
-
-// BuildHashForTest exposes the server template for white-box tests.
-func BuildHashForTest(name string, p Params) *prog.Program { return buildHash(name, p) }
-
-// BuildIndirectForTest exposes the indirect template for white-box tests.
-func BuildIndirectForTest(name string, p Params) *prog.Program { return buildIndirect(name, p) }
