@@ -38,12 +38,24 @@ import (
 // benchOpt is the reduced per-run budget used by the figure benchmarks.
 var benchOpt = harness.Options{WarmupInsts: 30_000, MeasureInsts: 80_000}
 
+// newRunner builds an experiment runner at the reduced budget; a failed
+// suite run fails the benchmark instead of reporting zero rows.
+func newRunner(b *testing.B) *harness.Runner {
+	r := harness.NewRunnerCtx(context.Background(), benchOpt)
+	b.Cleanup(func() {
+		if err := r.Err(); err != nil {
+			b.Error(err)
+		}
+	})
+	return r
+}
+
 // headline runs predictor spec over the suite and reports gain/coverage.
 func headline(b *testing.B, cfg ooo.Config, spec harness.Spec) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		pairs := r.Compare(cfg, spec)
 		b.ReportMetric((harness.Geomean(pairs)-1)*100, "geo_gain_pct")
 		b.ReportMetric(harness.MeanCoverage(pairs)*100, "coverage_pct")
@@ -90,7 +102,7 @@ func BenchmarkFig7FVPSkylake2X(b *testing.B) { headline(b, ooo.Skylake2X(), harn
 func BenchmarkFig8PerWorkload(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		pairs := r.Compare(ooo.Skylake(), harness.SpecFVP)
 		best := 1.0
 		for _, p := range pairs {
@@ -107,7 +119,7 @@ func BenchmarkFig8PerWorkload(b *testing.B) {
 func BenchmarkFig9Scaling(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		sky := harness.Geomean(r.Compare(ooo.Skylake(), harness.SpecFVP))
 		sky2 := harness.Geomean(r.Compare(ooo.Skylake2X(), harness.SpecFVP))
 		b.ReportMetric((sky-1)*100, "skylake_gain_pct")
@@ -126,7 +138,7 @@ var fig10Specs = []harness.Spec{
 func BenchmarkFig10PriorArtSkylake(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		for _, s := range fig10Specs {
 			g := harness.Geomean(r.Compare(ooo.Skylake(), s))
 			b.ReportMetric((g-1)*100, string(s)+"_pct")
@@ -138,7 +150,7 @@ func BenchmarkFig10PriorArtSkylake(b *testing.B) {
 func BenchmarkFig11PriorArtSkylake2X(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		for _, s := range fig10Specs {
 			g := harness.Geomean(r.Compare(ooo.Skylake2X(), s))
 			b.ReportMetric((g-1)*100, string(s)+"_pct")
@@ -155,7 +167,7 @@ func BenchmarkFig12Criticality(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		for _, s := range specs {
 			g := harness.Geomean(r.Compare(ooo.Skylake(), s))
 			b.ReportMetric((g-1)*100, string(s)+"_pct")
@@ -168,7 +180,7 @@ func BenchmarkFig12Criticality(b *testing.B) {
 func BenchmarkFig13Components(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		reg := harness.Geomean(r.Compare(ooo.Skylake(), harness.SpecFVPRegOnly))
 		mem := harness.Geomean(r.Compare(ooo.Skylake(), harness.SpecFVPMemOnly))
 		b.ReportMetric((reg-1)*100, "register_pct")
@@ -179,7 +191,7 @@ func BenchmarkFig13Components(b *testing.B) {
 // BenchmarkExpAllTypes — §VI-A2: predicting non-loads adds nothing.
 func BenchmarkExpAllTypes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		g := harness.Geomean(r.Compare(ooo.Skylake(), harness.SpecFVPAllTypes))
 		b.ReportMetric((g-1)*100, "alltypes_pct")
 	}
@@ -188,7 +200,7 @@ func BenchmarkExpAllTypes(b *testing.B) {
 // BenchmarkExpBranchChains — §VI-A3: mispredicting-branch chains don't pay.
 func BenchmarkExpBranchChains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		g := harness.Geomean(r.Compare(ooo.Skylake(), harness.SpecFVPBrChains))
 		b.ReportMetric((g-1)*100, "branchchains_pct")
 	}
@@ -202,7 +214,7 @@ func BenchmarkExpEpochSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, epoch := range []uint64{25_000, 400_000, 6_400_000} {
 			epoch := epoch
-			r := harness.NewRunner(benchOpt)
+			r := newRunner(b)
 			r.Workloads = subset
 			pf := func() vp.Predictor {
 				c := core.DefaultConfig()
@@ -221,7 +233,7 @@ func BenchmarkExpTableSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, sz := range []struct{ vt, vf int }{{48, 40}, {96, 128}} {
 			sz := sz
-			r := harness.NewRunner(benchOpt)
+			r := newRunner(b)
 			r.Workloads = subset
 			pf := func() vp.Predictor {
 				c := core.DefaultConfig()
@@ -240,7 +252,7 @@ func BenchmarkExpTableSizes(b *testing.B) {
 func BenchmarkExpStallBreakdown(b *testing.B) {
 	subset := subsetWorkloads("omnetpp", "cassandra", "mcf", "leela")
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		r.Workloads = subset
 		pairs := r.Compare(ooo.Skylake(), harness.SpecFVP)
 		var dram, dramF uint64
@@ -263,7 +275,7 @@ func BenchmarkExpAblation(b *testing.B) {
 		cfg.Mem.StridePCBits = 0
 		cfg.Mem.Streams = 0
 		cfg.Name = "Skylake-nopf"
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		r.Workloads = subset
 		g := harness.Geomean(r.Compare(cfg, harness.SpecFVP))
 		b.ReportMetric((g-1)*100, "no_prefetch_gain_pct")
@@ -276,7 +288,7 @@ func BenchmarkExpBaselinePredictors(b *testing.B) {
 	subset := subsetWorkloads("omnetpp", "hmmer", "cassandra", "lbm")
 	specs := []harness.Spec{harness.SpecLVP, harness.SpecVTAGE, harness.SpecEVES, harness.SpecFVP}
 	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(benchOpt)
+		r := newRunner(b)
 		r.Workloads = subset
 		for _, s := range specs {
 			g := harness.Geomean(r.Compare(ooo.Skylake(), s))

@@ -535,6 +535,16 @@ func measureFastForward(wlName string, warmInsts uint64, ops int) FastForward {
 	return ff
 }
 
+// runOne simulates w with FVP on Skylake, exiting on error so a failed
+// run is never recorded as a zero row.
+func runOne(w workload.Workload, opt harness.Options) harness.Result {
+	r, err := harness.RunOneCtx(context.Background(), w, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
+	if err != nil {
+		fatalf("%s: %v", w.Name, err)
+	}
+	return r
+}
+
 // measureParallelRegions runs one long (warmup, measure) slice split into
 // K functionally-warmed regions simulated by K workers, for K = 1,2,4,8.
 func measureParallelRegions(wlName string, warm, measure uint64) ParallelRegions {
@@ -553,7 +563,7 @@ func measureParallelRegions(wlName string, warm, measure uint64) ParallelRegions
 			opt.RegionWorkers = k
 		}
 		start := time.Now()
-		res := harness.RunOne(w, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
+		res := runOne(w, opt)
 		row := RegionRow{
 			Regions:     k,
 			Workers:     k,
@@ -582,12 +592,12 @@ func measureSampledRun(wlName string, warm, measure uint64, units int, unitInsts
 	}
 	opt := harness.Options{WarmupInsts: warm, MeasureInsts: measure}
 	start := time.Now()
-	full := harness.RunOne(w, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
+	full := runOne(w, opt)
 	fullWall := time.Since(start).Seconds()
 
 	opt.Sampling = harness.Sampling{Units: units, UnitInsts: unitInsts, Seed: 1}
 	start = time.Now()
-	sampled := harness.RunOne(w, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
+	sampled := runOne(w, opt)
 	sampledWall := time.Since(start).Seconds()
 
 	sr := SampledRun{
@@ -613,7 +623,10 @@ func measureSampledRun(wlName string, warm, measure uint64, units int, unitInsts
 // simulation throughput plus the paper's geomean speedup.
 func measureSuite(ws []workload.Workload, opt harness.Options, perWorkload bool) Suite {
 	start := time.Now()
-	pairs := harness.RunComparison(ws, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
+	pairs, err := harness.RunComparisonCtx(context.Background(), ws, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
+	if err != nil {
+		fatalf("suite: %v", err)
+	}
 	wall := time.Since(start).Seconds()
 
 	// Two runs (baseline + FVP) per workload, each warmup+measure long.

@@ -697,11 +697,53 @@ func CompareContext(ctx context.Context, spec RunSpec) (Comparison, error) {
 	return Comparison{Workload: spec.Workload, Category: string(w.Category), Base: b, Pred: p}, nil
 }
 
-// ToRecord flattens a run into the harness report row — the one
-// machine-readable schema shared by the experiment drivers, fvpsim -json,
-// and scripts plotting either. base may be nil for a standalone run, in
-// which case BaseIPC and Speedup are 0 ("no baseline measured").
-func ToRecord(spec RunSpec, base *Metrics, pred Metrics) harness.ReportRecord {
+// ReportRecord is the flat, machine-readable form of one run or
+// comparison row — what fvpsim -json prints and what a plotting script
+// consumes to redraw the paper's figures.
+type ReportRecord struct {
+	Workload  string  `json:"workload"`
+	Category  string  `json:"category"`
+	Core      string  `json:"core"`
+	Predictor string  `json:"predictor"`
+	BaseIPC   float64 `json:"base_ipc"`
+	PredIPC   float64 `json:"pred_ipc"`
+	Speedup   float64 `json:"speedup"`
+	Coverage  float64 `json:"coverage"`
+	Accuracy  float64 `json:"accuracy"`
+	VPFlushes uint64  `json:"vp_flushes"`
+
+	// Top-down cycle shares of the predictor run (fractions of cycles).
+	Retiring float64 `json:"retiring"`
+	MemStall float64 `json:"mem_stall"`
+	Frontend float64 `json:"frontend"`
+
+	// Simulator-speed meters of the predictor run: how many of its cycles
+	// were idle-elided (clock-jumped) and what fraction of all cycles that
+	// is. High SkipRatio = memory-bound workload the fast path accelerates
+	// most; 0 under ooo.Config.DisableIdleElision.
+	SkippedCycles uint64  `json:"skipped_cycles"`
+	SkipRatio     float64 `json:"skip_ratio"`
+
+	// WarmupMode records how the runs were warmed; FFInstsPerSec is the
+	// fast-forward throughput of the predictor run (0 for purely detailed
+	// runs).
+	WarmupMode    string  `json:"warmup_mode,omitempty"`
+	FFInstsPerSec float64 `json:"ff_insts_per_sec,omitempty"`
+
+	// Sampled-run statistics of the predictor run (all zero for full-detail
+	// runs): the final unit count, the detailed instruction budget actually
+	// measured, and the relative 95% CI half-width of the per-unit IPC
+	// estimate.
+	SampleUnits  int     `json:"sample_units,omitempty"`
+	SampledInsts uint64  `json:"sampled_insts,omitempty"`
+	IPCRelCI     float64 `json:"ipc_rel_ci,omitempty"`
+}
+
+// ToRecord flattens a run into its ReportRecord, the row fvpsim -json
+// prints (cmd/experiments -csv writes its own columns). base may be nil
+// for a standalone run, in which case BaseIPC and Speedup are 0 ("no
+// baseline measured").
+func ToRecord(spec RunSpec, base *Metrics, pred Metrics) ReportRecord {
 	spec = spec.Normalized()
 	category := ""
 	if w, ok := workload.ByName(spec.Workload); ok {
@@ -720,7 +762,7 @@ func ToRecord(spec RunSpec, base *Metrics, pred Metrics) harness.ReportRecord {
 		pred.CycleBreakdown[ooo.CycMemLLC] +
 		pred.CycleBreakdown[ooo.CycMemDRAM] +
 		pred.CycleBreakdown[ooo.CycStoreFwd])
-	rec := harness.ReportRecord{
+	rec := ReportRecord{
 		Workload:  spec.Workload,
 		Category:  category,
 		Core:      coreName,

@@ -3,10 +3,13 @@ package fvp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fvp/internal/ooo"
 )
 
 func TestWorkloadsListed(t *testing.T) {
@@ -319,5 +322,50 @@ func TestGeomeanHelper(t *testing.T) {
 	}
 	if g := Geomean(cs); g < 0.99 || g > 1.01 {
 		t.Errorf("geomean = %v", g)
+	}
+}
+
+// ToRecord must derive the speedup and the top-down cycle shares from a
+// hand-built Metrics, label the row from the spec, and keep the JSON
+// field names fvpsim -json has always printed.
+func TestToRecordShares(t *testing.T) {
+	var bd [9]uint64
+	bd[ooo.CycRetiring] = 60
+	bd[ooo.CycMemDRAM] = 30
+	bd[ooo.CycFrontend] = 10
+	spec := RunSpec{Workload: "omnetpp", Predictor: PredFVP}
+	pred := Metrics{IPC: 1.2, Cycles: 100, CycleBreakdown: bd, Coverage: 0.25, Accuracy: 0.999}
+	rec := ToRecord(spec, &Metrics{IPC: 1.0}, pred)
+	if rec.Speedup < 1.19 || rec.Speedup > 1.21 {
+		t.Errorf("speedup = %v, want 1.2", rec.Speedup)
+	}
+	if rec.Retiring != 0.6 || rec.Frontend != 0.1 {
+		t.Errorf("cycle shares: %+v", rec)
+	}
+	if rec.MemStall != 0.3 {
+		t.Errorf("mem stall share = %v, want 0.3", rec.MemStall)
+	}
+	if rec.Workload != "omnetpp" || rec.Category != "ISPEC06" || rec.Core != "Skylake" ||
+		rec.Predictor != string(PredFVP) || rec.BaseIPC != 1.0 || rec.PredIPC != 1.2 {
+		t.Errorf("labels: %+v", rec)
+	}
+	if alone := ToRecord(spec, nil, pred); alone.BaseIPC != 0 || alone.Speedup != 0 {
+		t.Errorf("standalone run: base_ipc %v speedup %v, want 0 and 0", alone.BaseIPC, alone.Speedup)
+	}
+
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"workload", "category", "core", "predictor", "base_ipc", "pred_ipc",
+		"speedup", "coverage", "accuracy", "vp_flushes", "retiring", "mem_stall", "frontend",
+		"skipped_cycles", "skip_ratio"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("JSON row lacks %q: %s", k, data)
+		}
 	}
 }

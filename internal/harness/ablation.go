@@ -73,9 +73,6 @@ func runAblation(r *Runner, out io.Writer) error {
 	fmt.Fprintln(w, "variant\tbaseline IPC vs default\tFVP gain under variant")
 	for _, v := range ablationVariants() {
 		cfg := v.mk()
-		// Distinct cache key per variant so the Runner's baseline cache
-		// doesn't collapse them.
-		cfg.Name = v.label
 		base := r.Baseline(cfg)
 		pairs := r.Compare(cfg, SpecFVP)
 		fmt.Fprintf(w, "%s\t%+.2f%%\t%s\n",

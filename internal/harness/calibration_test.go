@@ -17,10 +17,10 @@ func TestScalingSubset(t *testing.T) {
 	opt := Options{WarmupInsts: 80_000, MeasureInsts: 250_000}
 	for _, n := range []string{"omnetpp", "astar", "soplex", "sphinx3", "namd", "cassandra", "tpce", "milc"} {
 		w, _ := workload.ByName(n)
-		b1 := RunOne(w, ooo.Skylake(), nil, opt)
-		f1 := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
-		b2 := RunOne(w, ooo.Skylake2X(), nil, opt)
-		f2 := RunOne(w, ooo.Skylake2X(), Factory(SpecFVP), opt)
+		b1 := runOne(t, w, ooo.Skylake(), nil, opt)
+		f1 := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
+		b2 := runOne(t, w, ooo.Skylake2X(), nil, opt)
+		f2 := runOne(t, w, ooo.Skylake2X(), Factory(SpecFVP), opt)
 		t.Logf("%-10s SKL %.2f->%.2f (%+.1f%% cov%.0f) 2X %.2f->%.2f (%+.1f%% cov%.0f) stall:%d/%d",
 			n, b1.IPC, f1.IPC, (f1.IPC/b1.IPC-1)*100, f1.Coverage*100,
 			b2.IPC, f2.IPC, (f2.IPC/b2.IPC-1)*100, f2.Coverage*100,

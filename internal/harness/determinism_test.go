@@ -45,7 +45,7 @@ func TestRunSuiteDeterministicAcrossParallelism(t *testing.T) {
 		var ref []Result
 		for _, par := range levels {
 			opt.Parallelism = par
-			got := RunSuite(ws, ooo.Skylake(), pf, opt)
+			got := runSuite(t, ws, ooo.Skylake(), pf, opt)
 			if ref == nil {
 				ref = got
 				continue
@@ -74,11 +74,11 @@ func TestReuseCoresMatchesFresh(t *testing.T) {
 	a := make([]Result, len(ws))
 	for i, w := range ws {
 		corePools.Delete(ooo.Skylake())
-		a[i] = RunOne(w, ooo.Skylake(), pf, opt)
+		a[i] = runOne(t, w, ooo.Skylake(), pf, opt)
 	}
 	// Two pooled passes: the second is guaranteed to draw Reset cores.
-	RunSuite(ws, ooo.Skylake(), pf, opt)
-	b := RunSuite(ws, ooo.Skylake(), pf, opt)
+	runSuite(t, ws, ooo.Skylake(), pf, opt)
+	b := runSuite(t, ws, ooo.Skylake(), pf, opt)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("pooled RunSuite diverged from fresh-core RunSuite:\n got: %+v\nwant: %+v", b, a)
 	}

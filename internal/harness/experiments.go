@@ -40,22 +40,18 @@ type Runner struct {
 	suiteRuns int
 }
 
-// suiteKey identifies one memoized suite: the core configuration by name
-// and the predictor arm by spec (or by caller-chosen label for closure
-// factories — see CompareWith).
+// suiteKey identifies one memoized suite: the core configuration by
+// value, so two configs that share a name never share results, and the
+// predictor arm by spec (or by caller-chosen label for closure factories
+// — see CompareWith).
 type suiteKey struct {
-	core string
+	core ooo.Config
 	spec Spec
 }
 
-// NewRunner builds a runner over the full study list.
-func NewRunner(opt Options) *Runner {
-	return NewRunnerCtx(context.Background(), opt)
-}
-
-// NewRunnerCtx builds a runner whose suite runs honor ctx. Because the
-// Experiment.Run signature has no error channel for cancellation, the
-// first ctx error is latched on the runner — check Err after running.
+// NewRunnerCtx builds a runner over the full study list whose suite runs
+// honor ctx. Because the Experiment.Run signature has no error channel,
+// the first run error is latched on the runner — check Err after running.
 func NewRunnerCtx(ctx context.Context, opt Options) *Runner {
 	return &Runner{
 		Opt:       opt,
@@ -65,7 +61,7 @@ func NewRunnerCtx(ctx context.Context, opt Options) *Runner {
 	}
 }
 
-// Err reports the first cancellation error hit by a suite run, if any.
+// Err reports the first error hit by a suite run, if any.
 func (r *Runner) Err() error { return r.err }
 
 // SuiteRuns reports how many suites were actually simulated (memo misses).
@@ -76,7 +72,7 @@ func (r *Runner) Baseline(cfg ooo.Config) []Result {
 	return r.memoSuite(cfg, SpecNone, nil)
 }
 
-// Compare runs the spec's predictor suite — memoized per (cfg.Name, spec) —
+// Compare runs the spec's predictor suite — memoized per (cfg, spec) —
 // and pairs it with the (equally memoized) baseline.
 func (r *Runner) Compare(cfg ooo.Config, spec Spec) []Pair {
 	return r.pair(cfg, r.memoSuite(cfg, spec, Factory(spec)))
@@ -99,16 +95,12 @@ func (r *Runner) pair(cfg ooo.Config, pred []Result) []Pair {
 }
 
 func (r *Runner) memoSuite(cfg ooo.Config, spec Spec, pf PredFactory) []Result {
-	key := suiteKey{core: cfg.Name, spec: spec}
+	key := suiteKey{core: cfg, spec: spec}
 	if res, ok := r.suites[key]; ok {
 		return res
 	}
-	ctx := r.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	r.suiteRuns++
-	res, err := RunSuiteCtx(ctx, r.Workloads, cfg, pf, r.Opt)
+	res, err := RunSuiteCtx(r.ctx, r.Workloads, cfg, pf, r.Opt)
 	if err != nil && r.err == nil {
 		r.err = err
 	}

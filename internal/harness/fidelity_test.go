@@ -38,11 +38,11 @@ func TestWarmingFidelityGate(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown fidelity workload %q", name)
 		}
-		det := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
+		det := runOne(t, w, ooo.Skylake(), Factory(SpecFVP),
 			Options{WarmupInsts: warmup, MeasureInsts: measure})
-		fun := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
+		fun := runOne(t, w, ooo.Skylake(), Factory(SpecFVP),
 			Options{WarmupInsts: warmup, MeasureInsts: measure, WarmupMode: WarmupFunctional})
-		stitched := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
+		stitched := runOne(t, w, ooo.Skylake(), Factory(SpecFVP),
 			Options{WarmupInsts: warmup, MeasureInsts: measure,
 				WarmupMode: WarmupFunctional, Regions: 4})
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestFig10Subset(t *testing.T) {
 		t.Skip("calibration probe; set FVP_TUNE=1 to run")
 	}
 	subset := []string{"omnetpp", "astar", "soplex", "cassandra", "tpce", "hmmer", "mcf", "leela"}
-	r := NewRunner(Options{WarmupInsts: 80_000, MeasureInsts: 200_000})
+	r := NewRunnerCtx(context.Background(), Options{WarmupInsts: 80_000, MeasureInsts: 200_000})
 	r.Workloads = nil
 	for _, n := range subset {
 		w, _ := workload.ByName(n)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,26 @@ import (
 	"fvp/internal/ooo"
 	"fvp/internal/workload"
 )
+
+// runOne is RunOneCtx for tests: any error fails t.
+func runOne(t testing.TB, w workload.Workload, cfg ooo.Config, pf PredFactory, opt Options) Result {
+	t.Helper()
+	r, err := RunOneCtx(context.Background(), w, cfg, pf, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	return r
+}
+
+// runSuite is RunSuiteCtx for tests: any error fails t.
+func runSuite(t testing.TB, ws []workload.Workload, cfg ooo.Config, pf PredFactory, opt Options) []Result {
+	t.Helper()
+	out, err := RunSuiteCtx(context.Background(), ws, cfg, pf, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestFactoriesConstructible(t *testing.T) {
 	specs := []Spec{
@@ -38,7 +59,7 @@ func TestUnknownSpecPanics(t *testing.T) {
 
 func TestRunOneProducesMetrics(t *testing.T) {
 	w, _ := workload.ByName("hmmer")
-	r := RunOne(w, ooo.Skylake(), nil, Options{WarmupInsts: 5000, MeasureInsts: 20000})
+	r := runOne(t, w, ooo.Skylake(), nil, Options{WarmupInsts: 5000, MeasureInsts: 20000})
 	if r.IPC <= 0 {
 		t.Fatalf("IPC = %v", r.IPC)
 	}
@@ -117,7 +138,7 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestStaticTables(t *testing.T) {
-	r := NewRunner(Options{WarmupInsts: 1, MeasureInsts: 1})
+	r := NewRunnerCtx(context.Background(), Options{WarmupInsts: 1, MeasureInsts: 1})
 	var buf bytes.Buffer
 	if err := runTable1(r, &buf); err != nil {
 		t.Fatal(err)
@@ -144,7 +165,7 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestRunnerCachesBaseline(t *testing.T) {
-	r := NewRunner(Options{WarmupInsts: 2000, MeasureInsts: 5000})
+	r := NewRunnerCtx(context.Background(), Options{WarmupInsts: 2000, MeasureInsts: 5000})
 	r.Workloads = r.Workloads[:2]
 	a := r.Baseline(ooo.Skylake())
 	b := r.Baseline(ooo.Skylake())
@@ -158,7 +179,7 @@ func TestSmallFig6EndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment")
 	}
-	r := NewRunner(Options{WarmupInsts: 20_000, MeasureInsts: 60_000})
+	r := NewRunnerCtx(context.Background(), Options{WarmupInsts: 20_000, MeasureInsts: 60_000})
 	ws := make([]workload.Workload, 0, 2)
 	for _, n := range []string{"omnetpp", "leela"} {
 		w, _ := workload.ByName(n)

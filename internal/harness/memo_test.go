@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"io"
 	"reflect"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 )
 
 func memoRunner() *Runner {
-	r := NewRunner(Options{WarmupInsts: 5_000, MeasureInsts: 10_000})
+	r := NewRunnerCtx(context.Background(), Options{WarmupInsts: 5_000, MeasureInsts: 10_000})
 	r.Workloads = r.Workloads[:3]
 	return r
 }
@@ -93,5 +95,37 @@ func TestMemoizedMatchesFresh(t *testing.T) {
 	fresh := memoRunner().Compare(cfg, SpecFVP)
 	if !reflect.DeepEqual(memod, fresh) {
 		t.Fatal("memoized pairs differ from a fresh runner's")
+	}
+}
+
+// The memo keys on the whole core config, not its name: a Skylake with
+// one field changed gets its own baseline and predictor suites and its
+// own results.
+func TestCompareKeysOnConfigNotName(t *testing.T) {
+	r := memoRunner()
+	def := r.Compare(ooo.Skylake(), SpecFVP)
+	runs := r.SuiteRuns()
+	cfg := ooo.Skylake()
+	cfg.BranchMispredictPenalty += 10
+	variant := r.Compare(cfg, SpecFVP)
+	if got := r.SuiteRuns() - runs; got != 2 {
+		t.Fatalf("same-name variant config did %d new suite runs, want 2", got)
+	}
+	if reflect.DeepEqual(variant, def) {
+		t.Error("variant config returned the default config's pairs")
+	}
+}
+
+// The ablation's "default Skylake" variant is the Skylake config itself,
+// so its suites come from the memo: one Skylake baseline and FVP suite,
+// plus a baseline and an FVP suite per other variant.
+func TestAblationReusesDefaultSuites(t *testing.T) {
+	r := memoRunner()
+	r.Workloads = r.Workloads[:1]
+	if err := runAblation(r, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 + 2*(len(ablationVariants())-1); r.SuiteRuns() != want {
+		t.Errorf("ablation did %d suite runs, want %d", r.SuiteRuns(), want)
 	}
 }

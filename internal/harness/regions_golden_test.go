@@ -55,7 +55,7 @@ func regionsGoldenCells(t *testing.T) []regionsGoldenRecord {
 			t.Fatalf("unknown workload %q", name)
 		}
 		for _, mode := range []WarmupMode{WarmupDetailed, WarmupFunctional} {
-			r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), Options{
+			r := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), Options{
 				WarmupInsts: 5_000, MeasureInsts: 30_000,
 				Regions: 3, WarmupMode: mode,
 			})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fvp/internal/core"
@@ -132,11 +133,13 @@ type Result struct {
 	Stats    ooo.RunStats
 	Meter    vp.Meter
 
-	// FFInsts counts instructions that were fast-forwarded functionally
-	// (warmup in WarmupFunctional mode, plus the checkpoint scan of a
-	// region-parallel run). Zero for a purely detailed run.
+	// FFInsts counts instructions that were fast-forwarded functionally:
+	// the checkpoint scan up to each unit's warmup start, plus the
+	// functional bulk of each unit's warmup. Zero for a plain detailed
+	// run, which checkpoints at instruction 0 and scans nothing.
 	FFInsts uint64
-	// FFSeconds is the wall-clock spent fast-forwarding. Being a wall-time
+	// FFSeconds is the wall-clock spent in that scan and those warmups
+	// (building the program image is not counted). Being a wall-time
 	// measurement it is excluded from determinism comparisons.
 	FFSeconds float64
 	// Regions holds the per-region results of a region-parallel run
@@ -176,11 +179,11 @@ type Options struct {
 	// Regions splits the measured region into this many contiguous
 	// slices, each restored from an architectural checkpoint, warmed
 	// independently (per WarmupMode) and detail-simulated in parallel;
-	// the per-region stats are stitched into the Result. 0 or 1 keeps
-	// the historical single-region path. Stitched results are
-	// deterministic for a fixed region count regardless of worker count,
-	// but differ from the single-region run (each region re-warms from
-	// cold structures).
+	// the per-region stats are stitched into the Result. 0 or 1 is the
+	// one-region plan: a single slice checkpointed at instruction 0, the
+	// plain run. Stitched results are deterministic for a fixed region
+	// count regardless of worker count, but differ from the single-region
+	// run (each region re-warms from cold structures).
 	Regions int
 	// RegionWorkers bounds how many regions simulate concurrently
 	// (0 = GOMAXPROCS); sampled runs reuse it to bound concurrent units.
@@ -306,39 +309,35 @@ func meterAdd(a, b vp.Meter) vp.Meter {
 	}
 }
 
-// RunOne simulates one workload on one core with one predictor.
-func RunOne(w workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) Result {
-	r, _ := RunOneCtx(context.Background(), w, coreCfg, pf, opt)
-	return r
-}
-
-// RunOneCtx is RunOne with cooperative cancellation: the simulation's
-// cycle loop polls ctx and the partial run is abandoned (zero Result,
-// ctx.Err()) when it fires. Both the warmup and the measured region honor
-// the context, so a canceled service job stops consuming cycles promptly.
-// Degenerate Options are rejected up front with an *InvalidOptionsError.
+// RunOneCtx simulates one workload on one core with one predictor. The
+// simulation's cycle loop polls ctx and the partial run is abandoned (zero
+// Result, ctx.Err()) when it fires; both the warmup and the measured
+// region honor it, so a canceled service job stops consuming cycles
+// promptly. Degenerate Options are rejected up front with an
+// *InvalidOptionsError.
+//
+// Every run goes through the checkpointed-unit executor (runUnits). A
+// sampled run plans its sample units (runSampledCtx); any other run is
+// regionPlan's full-coverage plan of Options.Regions units, which for a
+// plain run is one unit checkpointed at instruction 0.
 func RunOneCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opt.Sampling.enabled() || opt.regionCount() > 1 {
-		return runCheckpointedCtx(ctx, w, coreCfg, pf, opt)
-	}
 	p := w.Build()
-	ex := prog.NewExec(p)
-	var pred vp.Predictor
-	name := "baseline"
-	if pf != nil {
-		pred = pf()
-		name = pred.Name()
+	if opt.Sampling.enabled() {
+		return runSampledCtx(ctx, w, p, coreCfg, pf, opt)
 	}
-	// The core's memory shadow is a copy-on-write clone of the executor's
-	// image, so each run builds the initial image once.
-	seg, err := runSegmentCtx(ctx, coreCfg, pred, ex, ex.Checkpoint().Memory(), p.WarmRanges, opt, opt.MeasureInsts)
+	plan := regionPlan(opt)
+	rd, err := runUnits(ctx, p, coreCfg, pf, opt, plan)
 	if err != nil {
 		return Result{}, err
 	}
-	return newResult(w, coreCfg, name, opt.warmupMode(), seg), nil
+	r := newResult(w, coreCfg, rd.pred, plan.mode, rd.total)
+	if len(rd.units) > 1 {
+		r.Regions = rd.units
+	}
+	return r, nil
 }
 
 // newResult assembles the Result of one run from its measured segment.
@@ -371,8 +370,7 @@ type segment struct {
 // runSegmentCtx simulates one contiguous (warmup, measure) slice: it
 // acquires a core over ex (whose architectural memory image is mem), warms
 // caches and then the machine per opt.WarmupMode, and measures measure
-// instructions. It is the shared engine of the monolithic path and each
-// unit of a checkpointed run.
+// instructions. It simulates each unit of the checkpointed-unit executor.
 func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, ex *prog.Exec, mem *prog.Memory, warmRanges []prog.WarmRange, opt Options, measure uint64) (segment, error) {
 	c := acquireCore(coreCfg, pred, ex, mem)
 	defer releaseCore(coreCfg, c)
@@ -420,41 +418,47 @@ func runSegmentCtx(ctx context.Context, coreCfg ooo.Config, pred vp.Predictor, e
 	return seg, nil
 }
 
-// RunSuite runs every workload in ws with the given core and predictor,
-// in parallel, preserving input order.
-func RunSuite(ws []workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) []Result {
-	out, _ := RunSuiteCtx(context.Background(), ws, coreCfg, pf, opt)
-	return out
-}
-
-// RunSuiteCtx is RunSuite with cooperative cancellation: every in-flight
-// run polls ctx, and the first cancellation error is returned along with
-// whatever results completed (canceled slots are zero Results).
+// RunSuiteCtx runs every workload in ws with the given core and
+// predictor, up to opt.Parallelism at once, preserving input order. Every
+// run polls ctx, and the first error is returned along with whatever
+// results completed (failed slots are zero Results).
 func RunSuiteCtx(ctx context.Context, ws []workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) ([]Result, error) {
-	par := opt.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	out := make([]Result, len(ws))
 	errs := make([]error, len(ws))
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i, w := range ws {
-		wg.Add(1)
-		go func(i int, w workload.Workload) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i], errs[i] = RunOneCtx(ctx, w, coreCfg, pf, opt)
-		}(i, w)
-	}
-	wg.Wait()
+	forEach(len(ws), opt.Parallelism, func(i int) {
+		out[i], errs[i] = RunOneCtx(ctx, ws[i], coreCfg, pf, opt)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return out, err
 		}
 	}
 	return out, nil
+}
+
+// forEach calls fn(i) for every i in [0, n), on at most workers goroutines
+// at once (0 = GOMAXPROCS). The calling goroutine is one of them, so one
+// item or one worker runs on the caller and starts no goroutine.
+func forEach(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(workers, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Pair holds a baseline and predictor result for one workload.
@@ -470,14 +474,8 @@ func (p Pair) Speedup() float64 {
 	return p.Pred.IPC / p.Base.IPC
 }
 
-// RunComparison runs baseline and predictor suites and pairs them up.
-func RunComparison(ws []workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) []Pair {
-	pairs, _ := RunComparisonCtx(context.Background(), ws, coreCfg, pf, opt)
-	return pairs
-}
-
-// RunComparisonCtx is RunComparison with cooperative cancellation; both
-// suites honor ctx and the first cancellation error is returned.
+// RunComparisonCtx runs baseline and predictor suites and pairs them up;
+// both suites honor ctx and the first error is returned.
 func RunComparisonCtx(ctx context.Context, ws []workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) ([]Pair, error) {
 	base, err := RunSuiteCtx(ctx, ws, coreCfg, nil, opt)
 	if err != nil {

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"time"
 
 	"fvp/internal/ooo"
@@ -147,9 +145,10 @@ type unitPlan struct {
 }
 
 // regionPlan covers the measured region with Options.Regions contiguous
-// units, the remainder going to the last, each warmed like the run
-// itself. Their measured slices are consecutive and their union is
-// exactly the monolithic run's measured span [W, W+M).
+// units (one when Regions <= 1), the remainder going to the last, each
+// warmed like the run itself. Their measured slices are consecutive and
+// their union is exactly the measured span [W, W+M); the one-unit plan
+// checkpoints at instruction 0 and warms over the whole warmup region.
 func regionPlan(opt Options) unitPlan {
 	k := opt.regionCount()
 	step := opt.MeasureInsts / uint64(k) // Validate guarantees step >= 1.
@@ -169,31 +168,12 @@ type unitRound struct {
 	pred  string
 }
 
-// runCheckpointedCtx is the checkpointed-unit path of RunOneCtx, shared by
-// region-parallel and sampled runs: one architectural pass over the
-// program checkpoints each unit's warmup start; each unit is then
-// restored, warmed and detail-simulated on its own core, concurrently up
-// to RegionWorkers, and the per-unit stats are stitched by field-wise
-// addition. Stitching is exact for additive counters, so the aggregate
-// IPC is the instruction-weighted mean of the unit IPCs.
-//
-// A region run executes one full-coverage plan (regionPlan). A sampled
-// run plans systematic units, warms each functionally, and when TargetCI
-// is set lets sample.AutoTune re-plan with a doubled unit count until the
-// IPC interval meets the target; its Result carries a SamplingReport.
-func runCheckpointedCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) (Result, error) {
-	p := w.Build()
-	if !opt.Sampling.enabled() {
-		plan := regionPlan(opt)
-		rd, err := runUnits(ctx, p, coreCfg, pf, opt, plan)
-		if err != nil {
-			return Result{}, err
-		}
-		r := newResult(w, coreCfg, rd.pred, plan.mode, rd.total)
-		r.Regions = rd.units
-		return r, nil
-	}
-
+// runSampledCtx is the sampled branch of RunOneCtx: it plans systematic
+// units, warms each functionally, and when TargetCI is set lets
+// sample.AutoTune re-plan with a doubled unit count until the IPC
+// interval meets the target. Each round runs on the checkpointed-unit
+// executor (runUnits), and the Result carries a SamplingReport.
+func runSampledCtx(ctx context.Context, w workload.Workload, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options) (Result, error) {
 	sp := opt.Sampling
 	var (
 		last      unitRound
@@ -254,75 +234,68 @@ func runCheckpointedCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Co
 	return r, nil
 }
 
-// runUnits executes one plan: the checkpoint scan plus the parallel
-// per-unit detail simulations.
+// runUnits is the checkpointed-unit executor every run goes through: one
+// architectural pass over the program checkpoints each unit's warmup
+// start; each unit is then restored, warmed and detail-simulated on its
+// own core, up to RegionWorkers at once, and the per-unit stats are
+// stitched by field-wise addition. Stitching is exact for additive
+// counters, so the aggregate IPC is the instruction-weighted mean of the
+// unit IPCs.
 func runUnits(ctx context.Context, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options, plan unitPlan) (unitRound, error) {
 	// Checkpoint scan: pure architectural execution visits each unit's
 	// warmup start in ascending order. Unit i's measured slice begins at
 	// absolute position WarmupInsts + Start_i; its warmup begins
 	// plan.warmup instructions earlier, clamped at the stream start (only
 	// reachable when the run-level warmup region is shorter than the unit
-	// warmup).
-	t0 := time.Now()
+	// warmup). Only the stepping is timed as fast-forward.
 	ex := prog.NewExec(p)
 	cps := make([]*prog.Checkpoint, len(plan.units))
 	warms := make([]uint64, len(plan.units))
+	var scan time.Duration
 	for i, u := range plan.units {
 		measureStart := opt.WarmupInsts + u.Start
 		warms[i] = min(plan.warmup, measureStart)
 		if at := measureStart - warms[i]; at > ex.Seq() {
+			t0 := time.Now()
 			ex.Run(at-ex.Seq(), nil)
+			scan += time.Since(t0)
 		}
 		cps[i] = ex.Checkpoint()
 	}
 	rd := unitRound{
 		units: make([]UnitResult, len(plan.units)),
-		total: segment{ffInsts: ex.Seq(), ffSeconds: time.Since(t0).Seconds()},
+		total: segment{ffInsts: ex.Seq(), ffSeconds: scan.Seconds()},
 		pred:  "baseline",
 	}
 
-	workers := opt.RegionWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	errs := make([]error, len(plan.units))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range plan.units {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var pred vp.Predictor
-			if pf != nil {
-				pred = pf()
-				if i == 0 {
-					rd.pred = pred.Name()
-				}
+	forEach(len(plan.units), opt.RegionWorkers, func(i int) {
+		var pred vp.Predictor
+		if pf != nil {
+			pred = pf()
+			if i == 0 {
+				rd.pred = pred.Name()
 			}
-			unitOpt := opt
-			unitOpt.WarmupMode = plan.mode
-			unitOpt.WarmupInsts = warms[i]
-			exU := cps[i].Restore()
-			seg, err := runSegmentCtx(ctx, coreCfg, pred, exU, cps[i].Memory(), p.WarmRanges, unitOpt, plan.units[i].Len)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rd.units[i] = UnitResult{
-				Index:       i,
-				StartSeq:    cps[i].Seq() + warms[i],
-				WarmupInsts: warms[i],
-				IPC:         seg.stats.IPC(),
-				Stats:       seg.stats,
-				Meter:       seg.meter,
-				FFInsts:     seg.ffInsts,
-				FFSeconds:   seg.ffSeconds,
-			}
-		}(i)
-	}
-	wg.Wait()
+		}
+		unitOpt := opt
+		unitOpt.WarmupMode = plan.mode
+		unitOpt.WarmupInsts = warms[i]
+		seg, err := runSegmentCtx(ctx, coreCfg, pred, cps[i].Restore(), cps[i].Memory(), p.WarmRanges, unitOpt, plan.units[i].Len)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		rd.units[i] = UnitResult{
+			Index:       i,
+			StartSeq:    cps[i].Seq() + warms[i],
+			WarmupInsts: warms[i],
+			IPC:         seg.stats.IPC(),
+			Stats:       seg.stats,
+			Meter:       seg.meter,
+			FFInsts:     seg.ffInsts,
+			FFSeconds:   seg.ffSeconds,
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return unitRound{}, err

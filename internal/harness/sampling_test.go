@@ -74,7 +74,7 @@ func TestSampledRunStructure(t *testing.T) {
 		WarmupInsts: 5_000, MeasureInsts: 200_000,
 		Sampling: Sampling{Units: 8, UnitInsts: 1_000, WarmupInsts: 2_000, Seed: 1},
 	}
-	r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	r := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	sr := r.Sampling
 	if sr == nil {
 		t.Fatal("sampled run returned no SamplingReport")
@@ -141,7 +141,7 @@ func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 	for i, workers := range []int{1, 2, 4} {
 		opt := base
 		opt.RegionWorkers = workers
-		got := stripWallClock(RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt))
+		got := stripWallClock(runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt))
 		if i == 0 {
 			ref = got
 			continue
@@ -151,7 +151,7 @@ func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// And the same run twice must reproduce bit-for-bit.
-	again := stripWallClock(RunOne(w, ooo.Skylake(), Factory(SpecFVP), base))
+	again := stripWallClock(runOne(t, w, ooo.Skylake(), Factory(SpecFVP), base))
 	base.RegionWorkers = 1
 	if !reflect.DeepEqual(again, ref) {
 		t.Error("same seed reran differently")
@@ -166,9 +166,9 @@ func TestSamplingSeedSensitive(t *testing.T) {
 		WarmupInsts: 2_000, MeasureInsts: 80_000,
 		Sampling: Sampling{Units: 4, UnitInsts: 500, Seed: 1},
 	}
-	a := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	a := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	opt.Sampling.Seed = 2
-	b := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	b := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	if a.Sampling.Units[0].StartSeq == b.Sampling.Units[0].StartSeq {
 		t.Error("adjacent seeds placed unit 0 identically")
 	}
@@ -182,7 +182,7 @@ func TestSamplingAutoTune(t *testing.T) {
 		WarmupInsts: 2_000, MeasureInsts: 300_000,
 		Sampling: Sampling{Units: 2, UnitInsts: 1_000, TargetCI: 0.05, MaxUnits: 64, Seed: 9},
 	}
-	r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	r := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	sr := r.Sampling
 	if sr == nil {
 		t.Fatal("no report")
@@ -225,9 +225,9 @@ func TestSamplingFidelityGate(t *testing.T) {
 		if !ok {
 			t.Fatalf("golden workload %q missing", name)
 		}
-		full := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
+		full := runOne(t, w, ooo.Skylake(), Factory(SpecFVP),
 			Options{WarmupInsts: warm, MeasureInsts: measure})
-		sampled := RunOne(w, ooo.Skylake(), Factory(SpecFVP), Options{
+		sampled := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), Options{
 			WarmupInsts: warm, MeasureInsts: measure,
 			Sampling: Sampling{Units: 16, UnitInsts: 2_000, Seed: 1},
 		})
@@ -260,11 +260,11 @@ func TestSamplingCICoverage(t *testing.T) {
 		seeds   = 20
 	)
 	w, _ := workload.ByName("omnetpp")
-	full := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
+	full := runOne(t, w, ooo.Skylake(), Factory(SpecFVP),
 		Options{WarmupInsts: warm, MeasureInsts: measure})
 	hits := 0
 	for seed := uint64(0); seed < seeds; seed++ {
-		r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), Options{
+		r := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), Options{
 			WarmupInsts: warm, MeasureInsts: measure,
 			Sampling: Sampling{Units: 12, UnitInsts: 1_000, Seed: seed},
 		})

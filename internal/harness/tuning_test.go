@@ -22,8 +22,8 @@ func TestTuningProbe(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown workload %s", n)
 		}
-		base := RunOne(w, ooo.Skylake(), nil, opt)
-		fvp := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+		base := runOne(t, w, ooo.Skylake(), nil, opt)
+		fvp := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 		if base.IPC <= 0 || fvp.IPC <= 0 {
 			t.Fatalf("%s: zero IPC (base=%.3f fvp=%.3f)", n, base.IPC, fvp.IPC)
 		}

@@ -72,9 +72,9 @@ func TestRunOneRejectsInvalidOptions(t *testing.T) {
 func TestExplicitDetailedMatchesDefault(t *testing.T) {
 	w, _ := workload.ByName("omnetpp")
 	opt := Options{WarmupInsts: 5_000, MeasureInsts: 20_000}
-	a := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	a := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	opt.WarmupMode = WarmupDetailed
-	b := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	b := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("explicit detailed diverged from default:\n got: %+v\nwant: %+v", b, a)
 	}
@@ -91,8 +91,8 @@ func TestFunctionalWarmupSmoke(t *testing.T) {
 			pf = Factory(spec)
 		}
 		w, _ := workload.ByName("omnetpp")
-		det := RunOne(w, ooo.Skylake(), pf, Options{WarmupInsts: 20_000, MeasureInsts: 50_000})
-		fun := RunOne(w, ooo.Skylake(), pf, Options{
+		det := runOne(t, w, ooo.Skylake(), pf, Options{WarmupInsts: 20_000, MeasureInsts: 50_000})
+		fun := runOne(t, w, ooo.Skylake(), pf, Options{
 			WarmupInsts: 20_000, MeasureInsts: 50_000, WarmupMode: WarmupFunctional,
 		})
 		// The warmup window splits into a functional bulk and a short
@@ -122,8 +122,8 @@ func TestFunctionalWarmupSmoke(t *testing.T) {
 func TestFunctionalWarmupDeterministic(t *testing.T) {
 	w, _ := workload.ByName("mcf")
 	opt := Options{WarmupInsts: 10_000, MeasureInsts: 30_000, WarmupMode: WarmupFunctional}
-	a := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
-	b := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	a := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
+	b := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	a.FFSeconds, b.FFSeconds = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("functional warmup nondeterministic:\n got: %+v\nwant: %+v", b, a)
@@ -160,7 +160,7 @@ func TestRegionsDeterministicAcrossWorkers(t *testing.T) {
 	for i, workers := range []int{1, 2, 4} {
 		opt := base
 		opt.RegionWorkers = workers
-		got := stripWallClock(RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt))
+		got := stripWallClock(runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt))
 		if i == 0 {
 			ref = got
 			continue
@@ -177,7 +177,7 @@ func TestRegionsDeterministicAcrossWorkers(t *testing.T) {
 func TestRegionStitching(t *testing.T) {
 	w, _ := workload.ByName("omnetpp")
 	opt := Options{WarmupInsts: 5_000, MeasureInsts: 35_000, Regions: 3}
-	r := RunOne(w, ooo.Skylake(), Factory(SpecFVP), opt)
+	r := runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 	if len(r.Regions) != 3 {
 		t.Fatalf("got %d regions, want 3", len(r.Regions))
 	}
@@ -224,9 +224,9 @@ func TestRegionStitching(t *testing.T) {
 // spec — the fidelity number the CI gate tracks.
 func TestRegionFidelityBand(t *testing.T) {
 	w, _ := workload.ByName("hmmer")
-	mono := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
+	mono := runOne(t, w, ooo.Skylake(), Factory(SpecFVP),
 		Options{WarmupInsts: 10_000, MeasureInsts: 60_000})
-	stitched := RunOne(w, ooo.Skylake(), Factory(SpecFVP),
+	stitched := runOne(t, w, ooo.Skylake(), Factory(SpecFVP),
 		Options{WarmupInsts: 10_000, MeasureInsts: 60_000, Regions: 4, WarmupMode: WarmupFunctional})
 	if fid := RegionFidelity(stitched, mono); fid > 0.10 {
 		t.Errorf("region fidelity %.2f%% off monolithic (stitched %.4f vs %.4f)",

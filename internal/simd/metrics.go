@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"time"
 
 	"fvp/internal/store"
 	"fvp/internal/telemetry"
@@ -69,35 +67,6 @@ func (s Stats) CyclesPerSecond() float64 {
 		return 0
 	}
 	return float64(s.SimCycles) / s.SimSeconds
-}
-
-// httpStats tracks per-endpoint request counts and cumulative latency.
-// It has its own lock so request accounting never contends with the job
-// queue.
-type httpStats struct {
-	mu  sync.Mutex
-	byE map[string]*endpointStat
-}
-
-type endpointStat struct {
-	count   uint64
-	seconds float64
-}
-
-func newHTTPStats() *httpStats {
-	return &httpStats{byE: make(map[string]*endpointStat)}
-}
-
-func (h *httpStats) observe(endpoint string, d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.byE[endpoint]
-	if st == nil {
-		st = &endpointStat{}
-		h.byE[endpoint] = st
-	}
-	st.count++
-	st.seconds += d.Seconds()
 }
 
 // WriteMetrics renders the Prometheus text exposition (version 0.0.4,
@@ -164,22 +133,6 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	for _, name := range tenantNames {
 		fmt.Fprintf(w, "fvpd_tenant_inflight{tenant=%q} %d\n", name, st.Tenants[name].Inflight)
 	}
-
-	s.http.mu.Lock()
-	endpoints := make([]string, 0, len(s.http.byE))
-	for e := range s.http.byE {
-		endpoints = append(endpoints, e)
-	}
-	sort.Strings(endpoints)
-	fmt.Fprintf(w, "# HELP fvpd_http_requests_total HTTP requests served, by route pattern.\n# TYPE fvpd_http_requests_total counter\n")
-	for _, e := range endpoints {
-		fmt.Fprintf(w, "fvpd_http_requests_total{endpoint=%q} %d\n", e, s.http.byE[e].count)
-	}
-	fmt.Fprintf(w, "# HELP fvpd_http_request_seconds_total Cumulative request latency, by route pattern.\n# TYPE fvpd_http_request_seconds_total counter\n")
-	for _, e := range endpoints {
-		fmt.Fprintf(w, "fvpd_http_request_seconds_total{endpoint=%q} %g\n", e, s.http.byE[e].seconds)
-	}
-	s.http.mu.Unlock()
 
 	reqHelp := "End-to-end request latency by route pattern and outcome (ok, client_error, server_error)."
 	if s.cfg.SLOTarget > 0 {

@@ -43,12 +43,12 @@ func (s *Service) Handler() http.Handler {
 }
 
 // Instrument wraps the handler of route pattern endpoint so each request
-// it answers is observed once: it records per-endpoint request counts and
-// latency, and feeds the fvpd_request_seconds{path,outcome} latency
-// histogram — the series a deployment reads its p50/p99 against the
-// -slo-target from. A request an outer Instrument already observes, such
-// as one a cluster node's route hands on to this service's handler, passes
-// straight through, so it is counted once, under the outer pattern.
+// it answers is observed once, in the fvpd_request_seconds{path,outcome}
+// latency histogram — the series a deployment reads its request counts,
+// and its p50/p99 against the -slo-target, from. A request an outer
+// Instrument already observes, such as one a cluster node's route hands
+// on to this service's handler, passes straight through, so it is counted
+// once, under the outer pattern.
 func (s *Service) Instrument(endpoint string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, observed := w.(*statusRecorder); observed {
@@ -58,10 +58,8 @@ func (s *Service) Instrument(endpoint string, h http.Handler) http.Handler {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h.ServeHTTP(rec, r)
-		d := time.Since(start)
-		s.http.observe(endpoint, d)
 		s.reqHist.With(`path=` + strconv.Quote(endpoint) + `,outcome="` + outcomeLabel(rec.code) + `"`).
-			Observe(d.Seconds())
+			Observe(time.Since(start).Seconds())
 	})
 }
 

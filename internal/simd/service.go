@@ -206,7 +206,6 @@ type Service struct {
 	inflight  map[string]*job // spec key → leader not yet finalized
 	met       counters
 	closed    bool
-	http      *httpStats
 	recovered uint64 // jobs re-dispatched from the JobStore at boot
 
 	// batch is the edge micro-batcher; nil unless Config.BatchWindow > 0.
@@ -251,7 +250,6 @@ func New(cfg Config) *Service {
 		inflight: make(map[string]*job),
 		baseCtx:  ctx,
 		stop:     cancel,
-		http:     newHTTPStats(),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.reqHist = telemetry.NewVec(telemetry.NewLatency)

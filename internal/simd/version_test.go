@@ -83,7 +83,8 @@ func TestLegacyRunsAlias(t *testing.T) {
 }
 
 // TestMetricsExposition checks the canonical /v1/metrics output carries
-// HELP/TYPE metadata for every metric family.
+// HELP/TYPE metadata for every metric family, and that the request
+// histogram counted the submit.
 func TestMetricsExposition(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1})
 	resp, out := postRuns(t, srv.URL+"/v1/runs?wait=1",
@@ -103,7 +104,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, family := range []string{
 		"fvpd_jobs_queued", "fvpd_jobs_running", "fvpd_jobs_done_total",
 		"fvpd_cache_hits_total", "fvpd_sim_cycles_total",
-		"fvpd_http_requests_total", "fvpd_http_request_seconds_total",
+		"fvpd_request_seconds",
 	} {
 		if !strings.Contains(text, "# HELP "+family+" ") {
 			t.Errorf("exposition missing HELP for %s", family)
@@ -112,8 +113,8 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing TYPE for %s", family)
 		}
 	}
-	if !strings.Contains(text, `fvpd_http_requests_total{endpoint="POST /v1/runs"} `) {
-		t.Errorf("exposition missing per-endpoint counter:\n%s", text)
+	if !strings.Contains(text, `fvpd_request_seconds_count{path="POST /v1/runs",outcome="ok"} 1`+"\n") {
+		t.Errorf("exposition missing the submit's request count:\n%s", text)
 	}
 }
 
