@@ -13,7 +13,6 @@ package fvp_test
 // Micro-benchmarks for the substrate data structures follow at the end.
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"testing"
@@ -30,7 +29,6 @@ import (
 	"fvp/internal/prog"
 	"fvp/internal/simd"
 	"fvp/internal/telemetry"
-	"fvp/internal/trace"
 	"fvp/internal/vp"
 	"fvp/internal/workload"
 )
@@ -77,7 +75,7 @@ func BenchmarkTable1Storage(b *testing.B) {
 // BenchmarkTable2CoreParams renders the Table-II configuration dump.
 func BenchmarkTable2CoreParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := fvp.RunExperiment("table2", io.Discard, 1, 1); err != nil {
+		if err := fvp.RunExperiments(context.Background(), []string{"table2"}, io.Discard, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,16 +332,15 @@ func BenchmarkCoreCycleLoop(b *testing.B) {
 
 // TestCycleLoopAllocs pins the steady-state allocation rate of the cycle
 // loop the way BenchmarkCoreCycleLoop measures it: one warmed core advancing
-// 50k retired instructions per run. The input is a recorded window read
-// back through the streaming trace.Reader, not the functional generator,
-// whose memory image allocates a page the first time the program writes
-// to it, so the count is the timing model's own. The SoA window and
-// index-carrying scheduler queues leave only incidental growth
-// (dependence-list and fetch-buffer reslicing that occasionally regrows);
-// the bound has headroom over the observed rate but fails loudly if
-// per-instruction allocation ever sneaks back into the loop. Every run must
-// retire its full chunk: a window that ran dry would stop the core early
-// and the guard would measure nothing.
+// 50k retired instructions per run. The input is a window recorded into
+// memory beforehand, not the live functional generator, whose memory image
+// allocates a page the first time the program writes to it, so the count
+// is the timing model's own. The SoA window and index-carrying scheduler
+// queues leave only incidental growth (dependence-list and fetch-buffer
+// reslicing that occasionally regrows); the bound has headroom over the
+// observed rate but fails loudly if per-instruction allocation ever sneaks
+// back into the loop. Every run must retire its full chunk: a window that
+// ran dry would stop the core early and the guard would measure nothing.
 func TestCycleLoopAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc guard skipped in -short mode")
@@ -355,15 +352,14 @@ func TestCycleLoopAllocs(t *testing.T) {
 	const window = 8 * instsPerRun
 	w, _ := workload.ByName("omnetpp")
 	p := w.Build()
-	data, n, err := trace.Record(prog.NewExec(p), window)
-	if err != nil || n < window {
-		t.Fatalf("record %d insts: got %d, err %v", window, n, err)
+	rec := make(recordedWindow, window)
+	ex := prog.NewExec(p)
+	for i := range rec {
+		if !ex.Next(&rec[i]) {
+			t.Fatalf("record %d insts: the executor halted at %d", window, i)
+		}
 	}
-	ex, err := trace.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ooo.New(ooo.Skylake(), core.New(core.DefaultConfig()), ex, p.BuildMemory())
+	c := ooo.New(ooo.Skylake(), core.New(core.DefaultConfig()), &rec, p.BuildMemory())
 	c.WarmCaches(p.WarmRanges)
 	var target uint64
 	run := func() {
@@ -379,6 +375,18 @@ func TestCycleLoopAllocs(t *testing.T) {
 		t.Errorf("steady-state cycle loop: %.1f allocs per %d insts, want <= %d",
 			avg, instsPerRun, maxAllocsPerRun)
 	}
+}
+
+// recordedWindow replays a recorded instruction window, front first.
+type recordedWindow []isa.DynInst
+
+func (r *recordedWindow) Next(d *isa.DynInst) bool {
+	if len(*r) == 0 {
+		return false
+	}
+	*d = (*r)[0]
+	*r = (*r)[1:]
+	return true
 }
 
 // BenchmarkCoreCycleLoopMemBound is BenchmarkCoreCycleLoop on an mcf-class

@@ -16,7 +16,6 @@ import (
 	"os/signal"
 	"runtime/pprof"
 	"syscall"
-	"time"
 
 	"fvp"
 )
@@ -108,28 +107,15 @@ func main() {
 		return
 	}
 
-	run := func(eid, title string) {
-		fmt.Printf("==== %s — %s ====\n", eid, title)
-		start := time.Now()
-		if err := fvp.RunExperimentContext(ctx, eid, os.Stdout, *warmup, *insts); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
-	}
-
+	ids := []string{*id}
 	if *all {
+		ids = nil
 		for _, e := range fvp.Experiments() {
-			run(e.ID, e.Title)
-		}
-		return
-	}
-	for _, e := range fvp.Experiments() {
-		if e.ID == *id {
-			run(e.ID, e.Title)
-			return
+			ids = append(ids, e.ID)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "experiments: unknown id %q (use -list)\n", *id)
-	os.Exit(1)
+	if err := fvp.RunExperiments(ctx, ids, os.Stdout, *warmup, *insts); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
 }

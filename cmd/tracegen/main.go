@@ -1,10 +1,8 @@
-// Command tracegen dumps a workload's dynamic micro-op trace to the binary
-// trace format (internal/trace) or prints summary statistics / a
-// disassembly-style listing of the first instructions.
+// Command tracegen prints a workload's dynamic micro-op stream as summary
+// statistics or a disassembly-style listing of the first instructions.
 //
 // Usage:
 //
-//	tracegen -workload cassandra -n 1000000 -o cassandra.fvptrace
 //	tracegen -workload mcf -n 50000 -stats
 //	tracegen -workload omnetpp -n 20 -print
 package main
@@ -16,14 +14,12 @@ import (
 
 	"fvp"
 	"fvp/internal/isa"
-	"fvp/internal/trace"
 )
 
 func main() {
 	var (
 		wl    = flag.String("workload", "omnetpp", "workload name")
 		n     = flag.Uint64("n", 1_000_000, "instructions to generate")
-		out   = flag.String("o", "", "output trace file (binary format)")
 		stats = flag.Bool("stats", false, "print instruction-mix statistics")
 		list  = flag.Bool("print", false, "print each instruction (use small -n)")
 	)
@@ -33,21 +29,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
-	}
-
-	var tw *trace.Writer
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		tw, err = trace.NewWriter(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
 	}
 
 	var mix [isa.NumOps]uint64
@@ -66,19 +47,6 @@ func main() {
 		if *list {
 			fmt.Println(d.String())
 		}
-		if tw != nil {
-			if err := tw.Append(&d); err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d instructions to %s\n", done, *out)
 	}
 	if *stats {
 		fmt.Printf("%s: %d instructions\n", *wl, done)

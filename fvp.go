@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"fvp/internal/core"
 	"fvp/internal/harness"
@@ -892,27 +893,40 @@ func Experiments() []ExperimentInfo {
 	return out
 }
 
-// RunExperiment regenerates one table/figure, writing its report to out.
-// warmup/measure of 0 select the defaults (100k/300k instructions).
-func RunExperiment(id string, out io.Writer, warmup, measure uint64) error {
-	return RunExperimentContext(context.Background(), id, out, warmup, measure)
+// RunExperiments regenerates the listed tables and figures in order. Each
+// report is written to out under a "==== id — title ====" header and is
+// followed by its wall time. The experiments share one runner, so a suite
+// that several of them need is simulated once. Every id is checked before
+// any simulation starts. warmup/measure of 0 select the defaults
+// (100k/300k instructions). Every simulation polls ctx, and the first
+// error, a cancellation included, is returned; the partial report already
+// written to out should then be discarded.
+func RunExperiments(ctx context.Context, ids []string, out io.Writer, warmup, measure uint64) error {
+	opt := RunSpec{WarmupInsts: warmup, MeasureInsts: measure}.options()
+	return runExperiments(harness.NewRunnerCtx(ctx, opt), ids, out)
 }
 
-// RunExperimentContext is RunExperiment with cooperative cancellation:
-// every simulation behind the experiment polls ctx, and the first
-// cancellation error is returned (the partial report already written to
-// out should be discarded).
-func RunExperimentContext(ctx context.Context, id string, out io.Writer, warmup, measure uint64) error {
-	e, ok := harness.ExperimentByID(id)
-	if !ok {
-		return fmt.Errorf("fvp: unknown experiment %q (see fvp.Experiments)", id)
+func runExperiments(r *harness.Runner, ids []string, out io.Writer) error {
+	es := make([]harness.Experiment, len(ids))
+	for i, id := range ids {
+		e, ok := harness.ExperimentByID(id)
+		if !ok {
+			return fmt.Errorf("fvp: unknown experiment %q (see fvp.Experiments)", id)
+		}
+		es[i] = e
 	}
-	opt := RunSpec{WarmupInsts: warmup, MeasureInsts: measure}.options()
-	r := harness.NewRunnerCtx(ctx, opt)
-	if err := e.Run(r, out); err != nil {
-		return err
+	for _, e := range es {
+		fmt.Fprintf(out, "==== %s — %s ====\n", e.ID, e.Title)
+		start := time.Now()
+		if err := e.Run(r, out); err != nil {
+			return err
+		}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "(%.1fs)\n\n", time.Since(start).Seconds())
 	}
-	return r.Err()
+	return nil
 }
 
 // StorageItem is a row of the Table-I budget breakdown.

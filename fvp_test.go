@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"fvp/internal/harness"
 	"fvp/internal/ooo"
 )
 
@@ -93,16 +94,41 @@ func TestExperimentsListed(t *testing.T) {
 	if len(es) < 15 {
 		t.Fatalf("experiments = %d", len(es))
 	}
-	if err := RunExperiment("no-such", &bytes.Buffer{}, 0, 0); err == nil {
+	// An unknown id is rejected before any listed experiment runs.
+	var buf bytes.Buffer
+	if err := RunExperiments(context.Background(), []string{"table1", "no-such"}, &buf, 0, 0); err == nil {
 		t.Error("unknown experiment must error")
 	}
+	if buf.Len() != 0 {
+		t.Errorf("output before the unknown id was rejected:\n%s", buf.String())
+	}
 	// The static tables run instantly end-to-end through the public API.
-	var buf bytes.Buffer
-	if err := RunExperiment("table1", &buf, 0, 0); err != nil {
+	if err := RunExperiments(context.Background(), []string{"table1"}, &buf, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Critical Instruction Table") {
 		t.Errorf("table1 via public API:\n%s", buf.String())
+	}
+}
+
+// TestRunExperimentsSharesSuites: experiments run in one call share one
+// runner, so fig6 and fig8, which both compare FVP with the baseline on
+// Skylake, simulate those two suites once between them. A runner per
+// experiment would simulate four.
+func TestRunExperimentsSharesSuites(t *testing.T) {
+	r := harness.NewRunnerCtx(context.Background(), harness.Options{WarmupInsts: 2_000, MeasureInsts: 5_000})
+	r.Workloads = r.Workloads[:1]
+	var buf bytes.Buffer
+	if err := runExperiments(r, []string{"fig6", "fig8"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SuiteRuns(); got != 2 {
+		t.Errorf("fig6 then fig8 simulated %d suites, want 2", got)
+	}
+	for _, h := range []string{"==== fig6 — ", "==== fig8 — "} {
+		if !strings.Contains(buf.String(), h) {
+			t.Errorf("report lacks the %q header:\n%s", h, buf.String())
+		}
 	}
 }
 

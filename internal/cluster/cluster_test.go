@@ -20,8 +20,8 @@ import (
 
 func TestRingDeterministicAndCovering(t *testing.T) {
 	members := []string{"a", "b", "c"}
-	r1 := newRing(members, 64)
-	r2 := newRing([]string{"c", "a", "b"}, 64) // order must not matter
+	r1 := newRing(members)
+	r2 := newRing([]string{"c", "a", "b"}) // order must not matter
 	owned := map[string]int{}
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("spec-%d", i)
@@ -121,7 +121,7 @@ func newTestClusterWith(t *testing.T, n int, svcMut func(*simd.Config), mut func
 		svc := simd.New(scfg)
 		cfg := Config{
 			Service: svc, Self: id, Peers: peers,
-			RetryBackoff: time.Millisecond, ForwardTimeout: 2 * time.Second,
+			retryBackoff: time.Millisecond, forwardTimeout: 2 * time.Second,
 		}
 		if mut != nil {
 			mut(&cfg)
@@ -261,10 +261,7 @@ func TestConcurrentSubmitRunsOnce(t *testing.T) {
 // TestOwnerDownFallsBackLocally: with the owner dead, a submit through
 // another node retries, trips the breaker, and executes locally.
 func TestOwnerDownFallsBackLocally(t *testing.T) {
-	tc := newTestCluster(t, 3, func(c *Config) {
-		c.Retries = 2
-		c.BreakerThreshold = 3
-	})
+	tc := newTestCluster(t, 3, nil)
 	owner, other := tc.ownerAndOther(t, 9000)
 	tc.srvs[owner].Close()
 
@@ -308,7 +305,7 @@ func TestOwnerDownFallsBackLocally(t *testing.T) {
 // forwarded to the owner by the ID's node prefix; with the owner dead
 // the client gets 502 + X-Fvpd-Forward-Peer.
 func TestByIDRouting(t *testing.T) {
-	tc := newTestCluster(t, 3, func(c *Config) { c.Retries = 0 })
+	tc := newTestCluster(t, 3, nil)
 	owner, other := tc.ownerAndOther(t, 11000)
 
 	_, out := postBody(t, tc.srvs[other].URL+"/v1/runs?wait=1", specBody(11000, ""))
@@ -540,7 +537,7 @@ func TestQuotaRejectionPropagates(t *testing.T) {
 				return fvp.Metrics{IPC: 1}, nil
 			},
 		})
-		node, err := New(Config{Service: svc, Self: id, Peers: peers, RetryBackoff: time.Millisecond})
+		node, err := New(Config{Service: svc, Self: id, Peers: peers, retryBackoff: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

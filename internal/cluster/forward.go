@@ -45,9 +45,6 @@ type peer struct {
 	id  string
 	url string
 
-	threshold int           // consecutive transport failures before opening
-	cooldown  time.Duration // open → half-open delay
-
 	mu       sync.Mutex
 	state    breakerState
 	fails    int       // consecutive transport failures while closed
@@ -67,7 +64,7 @@ func (p *peer) begin(now time.Time) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.state == breakerOpen {
-		if now.Sub(p.openedAt) < p.cooldown {
+		if now.Sub(p.openedAt) < breakerCooldown {
 			return errBreakerOpen
 		}
 		p.state = breakerHalfOpen
@@ -103,7 +100,7 @@ func (p *peer) done(transportErr error, canceled bool, now time.Time) {
 		return
 	}
 	p.fails++
-	if p.fails >= p.threshold {
+	if p.fails >= breakerThreshold {
 		p.state = breakerOpen
 		p.openedAt = now
 		p.fails = 0

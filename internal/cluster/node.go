@@ -45,24 +45,6 @@ type Config struct {
 	// passes every request straight to the service, byte-identical to a
 	// peerless deployment.
 	Peers map[string]string
-	// VNodes is the virtual points per node on the hash ring; default 64.
-	VNodes int
-	// ForwardTimeout bounds one non-wait forward attempt; default 10s.
-	// Wait-mode submits are exempt (their response legitimately arrives
-	// only when the simulation finishes) and are bounded by the
-	// submitting client's own connection instead.
-	ForwardTimeout time.Duration
-	// Retries is how many times a transport-failed forward is retried
-	// before falling back; default 2.
-	Retries int
-	// RetryBackoff is the delay between forward retries; default 50ms.
-	RetryBackoff time.Duration
-	// BreakerThreshold is the consecutive transport failures that open a
-	// peer's circuit breaker; default 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker fails fast before
-	// letting one probe through; default 5s.
-	BreakerCooldown time.Duration
 	// Replicas is how many ring successors a hot result is pushed to,
 	// and the opt-in for serving replicated keys locally on non-owners.
 	// 0 (the default) disables replication entirely.
@@ -71,7 +53,29 @@ type Config struct {
 	// to its successors once the owner has seen this many submits for it.
 	// Default 3.
 	ReplicateAfter int
+
+	// forwardTimeout bounds one non-wait forward attempt; default 10s.
+	// Wait-mode submits are exempt (their response legitimately arrives
+	// only when the simulation finishes) and are bounded by the
+	// submitting client's own connection instead. Tests shorten it.
+	forwardTimeout time.Duration
+	// retryBackoff is the delay between forward retries; default 50ms.
+	// Tests shorten it.
+	retryBackoff time.Duration
 }
+
+// Forwarding constants.
+const (
+	// forwardRetries is how many times a transport-failed forward is
+	// retried before falling back.
+	forwardRetries = 2
+	// breakerThreshold is the consecutive transport failures that open
+	// a peer's circuit breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker fails fast before
+	// letting one probe through.
+	breakerCooldown = 5 * time.Second
+)
 
 // ParsePeers parses the -peers flag: "id=url,id=url,...". Every node in
 // a cluster must be started with the same list (plus its own -node-id)
@@ -99,25 +103,11 @@ func ParsePeers(s string) (map[string]string, error) {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
+	if c.forwardTimeout <= 0 {
+		c.forwardTimeout = 10 * time.Second
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 10 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = 50 * time.Millisecond
 	}
 	if c.ReplicateAfter <= 0 {
 		c.ReplicateAfter = 3
@@ -181,15 +171,10 @@ func New(cfg Config) (*Node, error) {
 	for id, url := range cfg.Peers {
 		members = append(members, id)
 		if id != cfg.Self {
-			n.peers[id] = &peer{
-				id:        id,
-				url:       url,
-				threshold: cfg.BreakerThreshold,
-				cooldown:  cfg.BreakerCooldown,
-			}
+			n.peers[id] = &peer{id: id, url: url}
 		}
 	}
-	n.ring = newRing(members, cfg.VNodes)
+	n.ring = newRing(members)
 	n.fwdHist = telemetry.NewVec(telemetry.NewLatency)
 	n.fwd = make(map[string]*fwdBatcher)
 	if n.clustered() {
@@ -262,7 +247,7 @@ type PeerStatus struct {
 
 // ClusterStatus snapshots the ring and per-peer forwarding state.
 func (n *Node) ClusterStatus() Status {
-	st := Status{Self: n.cfg.Self, VNodes: n.cfg.VNodes}
+	st := Status{Self: n.cfg.Self, VNodes: vnodes}
 	st.Peers = append(st.Peers, PeerStatus{
 		ID:     n.cfg.Self,
 		URL:    n.cfg.Peers[n.cfg.Self],
@@ -493,9 +478,9 @@ func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunReques
 		path += "?wait=1"
 	}
 	var lastErr error
-	for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= forwardRetries; attempt++ {
 		if attempt > 0 {
-			if sleepBackoff(ctx, n.cfg.RetryBackoff) != nil {
+			if sleepBackoff(ctx, n.cfg.retryBackoff) != nil {
 				return nil, nil, ctx.Err()
 			}
 		}
@@ -526,7 +511,7 @@ func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunReques
 }
 
 // roundTrip performs one breaker-gated forward attempt. bounded adds
-// the ForwardTimeout deadline (wait-mode submits are unbounded by
+// the forwardTimeout deadline (wait-mode submits are unbounded by
 // design). The returned response's Body is open on success.
 func (n *Node) roundTrip(parent context.Context, p *peer, method, path string, body []byte, bounded bool) (*http.Response, error) {
 	if err := p.begin(time.Now()); err != nil {
@@ -534,7 +519,7 @@ func (n *Node) roundTrip(parent context.Context, p *peer, method, path string, b
 	}
 	ctx, cancel := parent, context.CancelFunc(func() {})
 	if bounded {
-		ctx, cancel = context.WithTimeout(parent, n.cfg.ForwardTimeout)
+		ctx, cancel = context.WithTimeout(parent, n.cfg.forwardTimeout)
 	}
 	var rd io.Reader
 	if body != nil {
@@ -553,7 +538,7 @@ func (n *Node) roundTrip(parent context.Context, p *peer, method, path string, b
 	start := time.Now()
 	resp, err := n.hc.Do(req)
 	if err != nil {
-		// A ForwardTimeout expiry is the peer's failure; the submitting
+		// A forwardTimeout expiry is the peer's failure; the submitting
 		// client's own cancellation (parent done) is nobody's fault.
 		cancel()
 		p.done(err, parent.Err() != nil, time.Now())
@@ -596,9 +581,9 @@ func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var lastErr error
-	for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= forwardRetries; attempt++ {
 		if attempt > 0 {
-			if sleepBackoff(r.Context(), n.cfg.RetryBackoff) != nil {
+			if sleepBackoff(r.Context(), n.cfg.retryBackoff) != nil {
 				return
 			}
 		}

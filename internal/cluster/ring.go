@@ -24,7 +24,7 @@ import (
 )
 
 // ring is a consistent-hash ring over node IDs. Each node projects
-// VNodes virtual points onto a 64-bit circle; a key is owned by the
+// vnodes virtual points onto a 64-bit circle; a key is owned by the
 // node whose next point clockwise from the key's hash. Virtual points
 // smooth the load split (with 64 points per node the imbalance across
 // a handful of nodes stays within a few percent) and keep remappings
@@ -47,12 +47,12 @@ func hash64(s string) uint64 {
 	return h.Sum64()
 }
 
-// newRing builds the circle for the given members. vnodes <= 0 selects
-// the default of 64 points per node.
-func newRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+// vnodes is the virtual points per node. It is a constant because nodes
+// with different counts would disagree on who owns a key.
+const vnodes = 64
+
+// newRing builds the circle for the given members.
+func newRing(members []string) *ring {
 	r := &ring{nodes: append([]string(nil), members...)}
 	sort.Strings(r.nodes)
 	r.points = make([]ringPoint, 0, len(r.nodes)*vnodes)

@@ -1,6 +1,6 @@
 // Package isa defines the micro-op level instruction model shared by the
-// functional executor (internal/prog), the trace codecs (internal/trace) and
-// the cycle-level out-of-order core (internal/ooo).
+// functional executor (internal/prog) and the cycle-level out-of-order core
+// (internal/ooo).
 //
 // The model is deliberately RISC-like: one destination register, up to two
 // register sources, an optional memory access and an optional control-flow

@@ -9,8 +9,8 @@ import (
 	"fvp/internal/vp"
 )
 
-// InstSource supplies the dynamic instruction stream (prog.Exec implements
-// it; trace replays do too).
+// InstSource supplies the dynamic instruction stream. prog.Exec implements
+// it on every production path; tests also replay recorded slices.
 type InstSource interface {
 	Next(*isa.DynInst) bool
 }

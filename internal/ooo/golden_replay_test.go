@@ -1,22 +1,19 @@
 package ooo_test
 
-// Layout-equivalence matrix for the packed-trace input: every golden case is
-// re-run with the instruction stream recorded once into the binary trace
-// format (internal/trace) and decoded back through the streaming Reader,
+// Source-equivalence matrix: every golden case is re-run with the
+// instruction stream recorded once into memory ([]isa.DynInst) and replayed,
 // then compared against the SAME testdata/golden_stats.json snapshot the
-// generator-driven matrix pins. Passing means two things at once: the trace
-// codec round-trips every field the timing model reads, and the SoA core is
-// source-agnostic — bit-identical stats whether micro-ops arrive from the
-// functional generator or from a recorded trace.
+// generator-driven matrix pins. Passing means the SoA core is
+// source-agnostic: bit-identical stats whether micro-ops arrive from the
+// functional generator or from a recorded window.
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
+	"fvp/internal/isa"
 	"fvp/internal/ooo"
 	"fvp/internal/prog"
-	"fvp/internal/trace"
 	"fvp/internal/workload"
 )
 
@@ -36,23 +33,21 @@ func TestGoldenStatsReplay(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown golden workload %q", name)
 		}
-		const recInsts = goldenInsts + replayGoldenSlack
-		data, n, err := trace.Record(prog.NewExec(wl.Build()), recInsts)
-		if err != nil || n < recInsts {
-			t.Fatalf("record %s: got %d/%d insts, err %v", name, n, recInsts, err)
+		insts := make([]isa.DynInst, goldenInsts+replayGoldenSlack)
+		ex := prog.NewExec(wl.Build())
+		for i := range insts {
+			if !ex.Next(&insts[i]) {
+				t.Fatalf("record %s: executor halted at %d of %d insts", name, i, len(insts))
+			}
 		}
 		for _, cfg := range goldenCores() {
 			for _, pred := range goldenPredictors {
-				wl, cfg, pred, data := wl, cfg, pred, data
+				wl, cfg, pred := wl, cfg, pred
 				key := goldenKey(wl.Name, cfg.Name, pred)
 				t.Run(key, func(t *testing.T) {
 					t.Parallel()
-					src, err := trace.NewReader(bytes.NewReader(data))
-					if err != nil {
-						t.Fatal(err)
-					}
 					p := wl.Build()
-					c := ooo.New(cfg, goldenPredictor(pred), src, p.BuildMemory())
+					c := ooo.New(cfg, goldenPredictor(pred), ooo.NewSliceSource(insts), p.BuildMemory())
 					c.WarmCaches(p.WarmRanges)
 					st := c.Run(goldenInsts)
 					st.SkippedCycles = 0

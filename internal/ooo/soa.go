@@ -45,8 +45,8 @@ import (
 //
 // The slab refactor is pure layout: every predicate and visit order is a
 // 1:1 translation of the array-of-structs code, and the golden-stat matrix
-// (generator-driven and packed-replay, elision on/off, -race) pins the
-// simulated machine byte-identical across the change.
+// (generator-driven and replayed from memory, elision on/off, -race) pins
+// the simulated machine byte-identical across the change.
 
 // flags bits (one byte per slot in window.flags).
 const (

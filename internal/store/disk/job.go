@@ -110,26 +110,9 @@ func (s *JobStore) NextID() uint64 {
 	return s.nextID
 }
 
+// Enqueue is AppendBatch of one record: one write and one fsync.
 func (s *JobStore) Enqueue(rec store.JobRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec.ID > s.nextID {
-		s.nextID = rec.ID
-	}
-	payload, err := json.Marshal(jobLogRec{T: "enq", ID: rec.ID, Key: rec.Key, Tenant: rec.Tenant, Spec: rec.Spec})
-	if err != nil {
-		return err
-	}
-	if err := s.w.append(payload); err != nil {
-		return err
-	}
-	rec.State = store.JobQueued
-	r := rec
-	s.jobs[rec.ID] = &r
-	s.order = append(s.order, rec.ID)
-	s.bytes += int64(len(rec.Key) + len(rec.Spec))
-	s.dirty++
-	return nil
+	return s.AppendBatch([]store.JobRecord{rec})
 }
 
 // AppendBatch records a whole admission batch with one write and one

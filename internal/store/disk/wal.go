@@ -102,26 +102,28 @@ func scanFrames(data []byte) (records [][]byte, valid int) {
 	}
 }
 
-// append frames, writes, and fsyncs one record. When it returns nil the
-// record is durable: it will be replayed by every future openWAL.
-func (w *wal) append(payload []byte) error {
-	if len(payload) > maxRecordSize {
-		return fmt.Errorf("disk: record of %d bytes exceeds the %d-byte frame cap", len(payload), maxRecordSize)
+// frames encodes payloads as consecutive frames in one buffer, refusing
+// any payload over the frame cap, which recovery would reject.
+func frames(payloads [][]byte) ([]byte, error) {
+	total := 0
+	for _, p := range payloads {
+		if len(p) > maxRecordSize {
+			return nil, fmt.Errorf("disk: record of %d bytes exceeds the %d-byte frame cap", len(p), maxRecordSize)
+		}
+		total += frameHeaderSize + len(p)
 	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeaderSize:], payload)
-	if _, err := w.f.Write(buf); err != nil {
-		return err
+	buf := make([]byte, 0, total)
+	for _, p := range payloads {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, crcTable))
+		buf = append(buf, p...)
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.size += int64(len(buf))
-	w.appends++
-	return nil
+	return buf, nil
 }
+
+// append writes and fsyncs one record. When it returns nil the record is
+// durable: it will be replayed by every future openWAL.
+func (w *wal) append(payload []byte) error { return w.appendAll([][]byte{payload}) }
 
 // appendAll frames and writes every payload, then fsyncs once. The
 // durability contract is all-or-nothing at the batch level: a crash
@@ -134,20 +136,9 @@ func (w *wal) appendAll(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	total := 0
-	for _, p := range payloads {
-		if len(p) > maxRecordSize {
-			return fmt.Errorf("disk: record of %d bytes exceeds the %d-byte frame cap", len(p), maxRecordSize)
-		}
-		total += frameHeaderSize + len(p)
-	}
-	buf := make([]byte, 0, total)
-	var hdr [frameHeaderSize]byte
-	for _, p := range payloads {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(p, crcTable))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
+	buf, err := frames(payloads)
+	if err != nil {
+		return err
 	}
 	if _, err := w.f.Write(buf); err != nil {
 		return err
@@ -165,23 +156,19 @@ func (w *wal) appendAll(payloads [][]byte) error {
 // fsync'd, and renamed into place, so a crash at any point leaves either
 // the complete old log or the complete new one.
 func (w *wal) rewrite(records [][]byte) error {
+	buf, err := frames(records)
+	if err != nil {
+		return err
+	}
 	tmp := w.path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	var size int64
-	for _, payload := range records {
-		buf := make([]byte, frameHeaderSize+len(payload))
-		binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-		copy(buf[frameHeaderSize:], payload)
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		size += int64(len(buf))
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -205,6 +192,7 @@ func (w *wal) rewrite(records [][]byte) error {
 	if err != nil {
 		return err
 	}
+	size := int64(len(buf))
 	if _, err := nf.Seek(size, 0); err != nil {
 		nf.Close()
 		return err

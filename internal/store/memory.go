@@ -34,14 +34,7 @@ func (s *MemoryJobStore) NextID() uint64 {
 }
 
 func (s *MemoryJobStore) Enqueue(rec JobRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec.State = JobQueued
-	s.jobs[rec.ID] = &rec
-	s.order = append(s.order, rec.ID)
-	s.bytes += jobRecordBytes(rec)
-	s.muts++
-	return nil
+	return s.AppendBatch([]JobRecord{rec})
 }
 
 func (s *MemoryJobStore) AppendBatch(recs []JobRecord) error {

@@ -141,9 +141,8 @@ func All() []Workload { return slices.Clone(table) }
 // (indirect, chase, compute, branchy, stream, stencil, hash, mixed) and
 // every Table-III category appears, with double coverage of the DRAM-bound
 // pointer chasers (mcf, mcf-17) where idle-cycle elision skips most. The
-// cycle-exact snapshot tests (internal/ooo/golden_test.go), the replay
-// equivalence matrix and the benchmark's golden-workload specs all iterate
-// this one list.
+// cycle-exact snapshot tests (internal/ooo/golden_test.go) and the
+// benchmark's golden-workload specs both iterate this one list.
 func GoldenMatrix() []string {
 	return []string{
 		"omnetpp", "mcf", "gcc", "hmmer", "sjeng", "libquantum",
