@@ -14,6 +14,7 @@ package fvp_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"testing"
 
@@ -125,10 +126,26 @@ func BenchmarkFig9Scaling(b *testing.B) {
 	}
 }
 
-// fig10Specs are the five prior-art bars of Figs 10/11.
-var fig10Specs = []harness.Spec{
-	harness.SpecMR8KB, harness.SpecComp8KB, harness.SpecFVP,
-	harness.SpecMR1KB, harness.SpecComp1KB,
+// arm is one labelled predictor arm; its metric unit is label+"_pct".
+type arm struct {
+	label string
+	spec  harness.Spec
+}
+
+// reportArms compares each arm with the baseline on cfg and reports its
+// geomean IPC gain.
+func reportArms(b *testing.B, r *harness.Runner, cfg ooo.Config, arms []arm) {
+	for _, a := range arms {
+		g := harness.Geomean(r.Compare(cfg, a.spec))
+		b.ReportMetric((g-1)*100, a.label+"_pct")
+	}
+}
+
+// fig10Arms are the five prior-art bars of Figs 10/11.
+var fig10Arms = []arm{
+	{"MR-8KB", harness.SpecMR8KB}, {"Composite-8KB", harness.SpecComp8KB},
+	{"FVP", harness.SpecFVP},
+	{"MR-1KB", harness.SpecMR1KB}, {"Composite-1KB", harness.SpecComp1KB},
 }
 
 // BenchmarkFig10PriorArtSkylake — the area-vs-performance comparison
@@ -136,11 +153,7 @@ var fig10Specs = []harness.Spec{
 func BenchmarkFig10PriorArtSkylake(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		for _, s := range fig10Specs {
-			g := harness.Geomean(r.Compare(ooo.Skylake(), s))
-			b.ReportMetric((g-1)*100, string(s)+"_pct")
-		}
+		reportArms(b, newRunner(b), ooo.Skylake(), fig10Arms)
 	}
 }
 
@@ -148,28 +161,20 @@ func BenchmarkFig10PriorArtSkylake(b *testing.B) {
 func BenchmarkFig11PriorArtSkylake2X(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		for _, s := range fig10Specs {
-			g := harness.Geomean(r.Compare(ooo.Skylake2X(), s))
-			b.ReportMetric((g-1)*100, string(s)+"_pct")
-		}
+		reportArms(b, newRunner(b), ooo.Skylake2X(), fig10Arms)
 	}
 }
 
 // BenchmarkFig12Criticality — criticality-policy sensitivity (paper:
 // L1-Miss-Only ≈ 0 < L1-Miss < FVP ≲ Oracle).
 func BenchmarkFig12Criticality(b *testing.B) {
-	specs := []harness.Spec{
-		harness.SpecFVPL1MissOnl, harness.SpecFVPL1Miss,
-		harness.SpecFVP, harness.SpecFVPOracle,
+	arms := []arm{
+		{"FVP-L1-Miss-Only", harness.SpecFVPL1MissOnl}, {"FVP-L1-Miss", harness.SpecFVPL1Miss},
+		{"FVP", harness.SpecFVP}, {"FVP-Oracle", harness.SpecFVPOracle},
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		for _, s := range specs {
-			g := harness.Geomean(r.Compare(ooo.Skylake(), s))
-			b.ReportMetric((g-1)*100, string(s)+"_pct")
-		}
+		reportArms(b, newRunner(b), ooo.Skylake(), arms)
 	}
 }
 
@@ -206,41 +211,34 @@ func BenchmarkExpBranchChains(b *testing.B) {
 
 // BenchmarkExpEpochSweep — §VI-C1 criticality-epoch sensitivity, on a
 // representative subset (the sweep over the full list is cmd/experiments
-// -id epoch).
+// -id epoch). Each epoch reports under its own unit, epoch_<N>_pct.
 func BenchmarkExpEpochSweep(b *testing.B) {
 	subset := subsetWorkloads("omnetpp", "cassandra", "sphinx3", "leela")
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
+		r.Workloads = subset
 		for _, epoch := range []uint64{25_000, 400_000, 6_400_000} {
-			epoch := epoch
-			r := newRunner(b)
-			r.Workloads = subset
-			pf := func() vp.Predictor {
-				c := core.DefaultConfig()
-				c.Epoch = epoch
-				return core.New(c)
-			}
-			g := harness.Geomean(r.CompareWith(ooo.Skylake(), "FVP-epoch-bench", pf))
-			b.ReportMetric((g-1)*100, "epoch_pct")
+			spec := harness.SpecFVP
+			spec.FVP.Epoch = epoch
+			g := harness.Geomean(r.Compare(ooo.Skylake(), spec))
+			b.ReportMetric((g-1)*100, fmt.Sprintf("epoch_%d_pct", epoch))
 		}
 	}
 }
 
 // BenchmarkExpTableSizes — §VI-D: VT/VF size sensitivity on a subset.
+// Each sizing reports under its own unit, size_<VT>_<VF>_pct.
 func BenchmarkExpTableSizes(b *testing.B) {
 	subset := subsetWorkloads("omnetpp", "cassandra", "sphinx3", "astar")
 	for i := 0; i < b.N; i++ {
+		r := newRunner(b)
+		r.Workloads = subset
 		for _, sz := range []struct{ vt, vf int }{{48, 40}, {96, 128}} {
-			sz := sz
-			r := newRunner(b)
-			r.Workloads = subset
-			pf := func() vp.Predictor {
-				c := core.DefaultConfig()
-				c.VTEntries = sz.vt
-				c.MR.VFEntries = sz.vf
-				return core.New(c)
-			}
-			g := harness.Geomean(r.CompareWith(ooo.Skylake(), "FVP-size-bench", pf))
-			b.ReportMetric((g-1)*100, "size_pct")
+			spec := harness.SpecFVP
+			spec.FVP.VTEntries = sz.vt
+			spec.FVP.MR.VFEntries = sz.vf
+			g := harness.Geomean(r.Compare(ooo.Skylake(), spec))
+			b.ReportMetric((g-1)*100, fmt.Sprintf("size_%d_%d_pct", sz.vt, sz.vf))
 		}
 	}
 }
@@ -284,14 +282,14 @@ func BenchmarkExpAblation(b *testing.B) {
 // (LVP / VTAGE / EVES vs FVP) on a subset.
 func BenchmarkExpBaselinePredictors(b *testing.B) {
 	subset := subsetWorkloads("omnetpp", "hmmer", "cassandra", "lbm")
-	specs := []harness.Spec{harness.SpecLVP, harness.SpecVTAGE, harness.SpecEVES, harness.SpecFVP}
+	arms := []arm{
+		{"LVP", harness.SpecLVP}, {"VTAGE", harness.SpecVTAGE},
+		{"EVES", harness.SpecEVES}, {"FVP", harness.SpecFVP},
+	}
 	for i := 0; i < b.N; i++ {
 		r := newRunner(b)
 		r.Workloads = subset
-		for _, s := range specs {
-			g := harness.Geomean(r.Compare(ooo.Skylake(), s))
-			b.ReportMetric((g-1)*100, string(s)+"_pct")
-		}
+		reportArms(b, r, ooo.Skylake(), arms)
 	}
 }
 

@@ -623,8 +623,10 @@ func measureSampledRun(wlName string, warm, measure uint64, units int, unitInsts
 // simulation throughput plus the paper's geomean speedup.
 func measureSuite(ws []workload.Workload, opt harness.Options, perWorkload bool) Suite {
 	start := time.Now()
-	pairs, err := harness.RunComparisonCtx(context.Background(), ws, ooo.Skylake(), harness.Factory(harness.SpecFVP), opt)
-	if err != nil {
+	r := harness.NewRunnerCtx(context.Background(), opt)
+	r.Workloads = ws
+	pairs := r.Compare(ooo.Skylake(), harness.SpecFVP)
+	if err := r.Err(); err != nil {
 		fatalf("suite: %v", err)
 	}
 	wall := time.Since(start).Seconds()

@@ -1,6 +1,7 @@
-// Sweep reproduces the paper's sensitivity studies in miniature on a small
-// workload subset: the Value-Table/Value-File size sweep (§VI-D) and the
-// Skylake → Skylake-2X scaling of FVP's benefit (§VI-A, Fig 9).
+// Sweep reproduces three of the paper's comparisons in miniature on a
+// four-workload subset: the Skylake → Skylake-2X scaling of FVP's benefit
+// (Fig 9), the contribution of FVP's register- and memory-dependence
+// components (Fig 13), and the criticality policies (Fig 12).
 package main
 
 import (

@@ -165,8 +165,8 @@ const (
 	PredEVES Predictor = "eves"
 )
 
-// predictors is every named configuration in listing order, with the
-// harness spec that builds it.
+// predictors is every named configuration in listing order, with its
+// harness arm.
 var predictors = [...]struct {
 	name Predictor
 	spec harness.Spec
@@ -197,35 +197,30 @@ func Predictors() []Predictor {
 	return out
 }
 
-// predFactory resolves a predictor name; the baseline ("" or PredNone)
-// runs without a predictor and gets a nil factory.
-func predFactory(p Predictor) (harness.PredFactory, error) {
+// predSpec resolves a predictor name to its arm; "" is the baseline.
+func predSpec(p Predictor) (harness.Spec, error) {
 	if p == "" {
-		return nil, nil
+		return harness.SpecNone, nil
 	}
 	for _, e := range predictors {
-		if e.name != p {
-			continue
+		if e.name == p {
+			return e.spec, nil
 		}
-		if e.spec == harness.SpecNone {
-			return nil, nil
-		}
-		return harness.Factory(e.spec), nil
 	}
-	return nil, unknownName("predictor", string(p), predictorNames())
+	return harness.SpecNone, unknownName("predictor", string(p), predictorNames())
 }
 
 // StorageBytes returns the state budget of a predictor configuration in
 // bytes (0 for the baseline).
 func StorageBytes(p Predictor) (int, error) {
-	pf, err := predFactory(p)
+	spec, err := predSpec(p)
 	if err != nil {
 		return 0, err
 	}
-	if pf == nil {
-		return 0, nil
+	if pf := harness.Factory(spec); pf != nil {
+		return pf().StorageBits() / 8, nil
 	}
-	return pf().StorageBits() / 8, nil
+	return 0, nil
 }
 
 // WorkloadInfo describes one study-list entry.
@@ -406,7 +401,7 @@ func Validate(spec RunSpec) error {
 	if _, err := coreConfig(spec.Machine); err != nil {
 		return err
 	}
-	if _, err := predFactory(spec.Predictor); err != nil {
+	if _, err := predSpec(spec.Predictor); err != nil {
 		return err
 	}
 	// The caps read the options a run would get, so an unsampled spec's
@@ -649,8 +644,8 @@ func RunContext(ctx context.Context, spec RunSpec) (Metrics, error) {
 	}
 	w, _ := workload.ByName(spec.Workload)
 	cfg, _ := coreConfig(spec.Machine)
-	pf, _ := predFactory(spec.Predictor)
-	r, err := harness.RunOneCtx(ctx, w, cfg, pf, spec.options())
+	arm, _ := predSpec(spec.Predictor)
+	r, err := harness.RunOneCtx(ctx, w, cfg, harness.Factory(arm), spec.options())
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -846,11 +841,12 @@ func CompareSuiteContext(ctx context.Context, spec SuiteSpec) ([]Comparison, err
 		ws[i], _ = workload.ByName(name)
 	}
 	cfg, _ := coreConfig(spec.Machine)
-	pf, _ := predFactory(spec.Predictor)
-	opt := runSpec.options()
-	opt.Parallelism = spec.Parallelism
-	pairs, err := harness.RunComparisonCtx(ctx, ws, cfg, pf, opt)
-	if err != nil {
+	arm, _ := predSpec(spec.Predictor)
+	r := harness.NewRunnerCtx(ctx, runSpec.options())
+	r.Opt.Parallelism = spec.Parallelism
+	r.Workloads = ws
+	pairs := r.Compare(cfg, arm)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]Comparison, len(pairs))

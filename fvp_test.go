@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,7 +115,9 @@ func TestExperimentsListed(t *testing.T) {
 // TestRunExperimentsSharesSuites: experiments run in one call share one
 // runner, so fig6 and fig8, which both compare FVP with the baseline on
 // Skylake, simulate those two suites once between them. A runner per
-// experiment would simulate four.
+// experiment would simulate four. Every experiment together simulates 44
+// suites, one per (core config, arm) value: the epoch and table-size
+// sweeps' default rows are SpecFVP and come from the memo.
 func TestRunExperimentsSharesSuites(t *testing.T) {
 	r := harness.NewRunnerCtx(context.Background(), harness.Options{WarmupInsts: 2_000, MeasureInsts: 5_000})
 	r.Workloads = r.Workloads[:1]
@@ -129,6 +132,24 @@ func TestRunExperimentsSharesSuites(t *testing.T) {
 		if !strings.Contains(buf.String(), h) {
 			t.Errorf("report lacks the %q header:\n%s", h, buf.String())
 		}
+	}
+
+	r = harness.NewRunnerCtx(context.Background(), harness.Options{WarmupInsts: 2_000, MeasureInsts: 5_000})
+	r.Workloads = r.Workloads[:1]
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
+	if err := runExperiments(r, ids, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	// Skylake: the baseline and 25 arms (FVP, 4 prior art, 3 policies,
+	// 2 components, 2 §VI-A variants, 4 other epochs, 5 other table
+	// sizes, 4 shoot-out predictors). Skylake-2X: the baseline, FVP and 4
+	// prior art. Ablation: a baseline and FVP for each of 6 variants.
+	// 26 + 6 + 12 = 44.
+	if got, want := r.SuiteRuns(), 44; got != want {
+		t.Errorf("every experiment simulated %d suites, want %d", got, want)
 	}
 }
 
@@ -214,6 +235,25 @@ func TestCompareSuiteContextSubset(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown workload in subset must error")
 	}
+	// The baseline arm pairs the baseline suite with itself. Functional
+	// warmup stamps each run with its wall-clock fast-forward rate, so
+	// equal metrics mean the suite was simulated once.
+	cs, err = CompareSuiteContext(context.Background(), SuiteSpec{
+		Predictor:    PredNone,
+		WarmupInsts:  2_000,
+		MeasureInsts: 10_000,
+		WarmupMode:   "functional",
+		Workloads:    []string{"hmmer", "mcf"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cs {
+		if !reflect.DeepEqual(c.Base, c.Pred) {
+			t.Errorf("%s: PredNone Base %+v differs from Pred %+v", c.Workload, c.Base, c.Pred)
+		}
+	}
+
 	suiteRejects(t, SuiteSpec{Predictor: "fvq", Workloads: []string{"mcf"}},
 		RunSpec{Workload: "mcf", Predictor: "fvq"}, "predictor")
 	suiteRejects(t, SuiteSpec{WarmupMode: "fnctional", Workloads: []string{"mcf"}},

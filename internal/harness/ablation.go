@@ -88,15 +88,15 @@ func runAblation(r *Runner, out io.Writer) error {
 // supporting comparison including the simple LVP/stride/VTAGE baselines).
 func runBaselinePredictors(r *Runner, out io.Writer) error {
 	fmt.Fprintln(out, "Predictor shoot-out on Skylake (extension of Figs 10/11)")
-	specs := []Spec{
-		SpecLVP, SpecStride, SpecVTAGE, SpecEVES,
-		SpecMR8KB, SpecComp8KB, SpecFVP,
+	arms := []arm{
+		{"LVP", SpecLVP}, {"Stride", SpecStride}, {"VTAGE", SpecVTAGE}, {"EVES", SpecEVES},
+		{"MR-8KB", SpecMR8KB}, {"Composite-8KB", SpecComp8KB}, {"FVP", SpecFVP},
 	}
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "predictor\tstorage\tIPC gain\tcoverage\taccuracy")
-	for _, s := range specs {
-		pairs := r.Compare(ooo.Skylake(), s)
-		bits := Factory(s)().StorageBits()
+	for _, a := range arms {
+		pairs := r.Compare(ooo.Skylake(), a.spec)
+		bits := Factory(a.spec)().StorageBits()
 		acc, n := 0.0, 0
 		for _, p := range pairs {
 			if p.Pred.Meter.Correct+p.Pred.Meter.Wrong > 0 {
@@ -108,7 +108,7 @@ func runBaselinePredictors(r *Runner, out io.Writer) error {
 			acc /= float64(n)
 		}
 		fmt.Fprintf(w, "%s\t%.1f KB\t%s\t%.0f%%\t%.2f%%\n",
-			s, float64(bits)/8/1024, pct(Geomean(pairs)),
+			a.label, float64(bits)/8/1024, pct(Geomean(pairs)),
 			MeanCoverage(pairs)*100, acc*100)
 	}
 	w.Flush()

@@ -37,11 +37,8 @@ func TestRunSuiteDeterministicAcrossParallelism(t *testing.T) {
 	opt := Options{WarmupInsts: 5_000, MeasureInsts: 20_000}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
 
-	for _, spec := range []Spec{SpecNone, SpecFVP} {
-		var pf PredFactory
-		if spec != SpecNone {
-			pf = Factory(spec)
-		}
+	for _, a := range []arm{{"baseline", SpecNone}, {"FVP", SpecFVP}} {
+		pf := Factory(a.spec)
 		var ref []Result
 		for _, par := range levels {
 			opt.Parallelism = par
@@ -54,7 +51,7 @@ func TestRunSuiteDeterministicAcrossParallelism(t *testing.T) {
 				for i := range got {
 					if !reflect.DeepEqual(got[i], ref[i]) {
 						t.Errorf("%s: parallelism %d diverged from parallelism %d on %s:\n got: %+v\nwant: %+v",
-							spec, par, levels[0], got[i].Workload, got[i], ref[i])
+							a.label, par, levels[0], got[i].Workload, got[i], ref[i])
 					}
 				}
 			}

@@ -9,7 +9,6 @@ import (
 
 	"fvp/internal/core"
 	"fvp/internal/ooo"
-	"fvp/internal/vp"
 	"fvp/internal/workload"
 )
 
@@ -23,7 +22,7 @@ type Experiment struct {
 	Run func(r *Runner, out io.Writer) error
 }
 
-// Runner memoizes suite results per (core config, predictor spec) so
+// Runner memoizes suite results per (core config, predictor arm) so
 // experiments sharing a suite — every figure reuses the baseline, and
 // fig6/fig7/fig8/fig9/fig13 all need the plain FVP arm — simulate each one
 // exactly once per process.
@@ -40,10 +39,9 @@ type Runner struct {
 	suiteRuns int
 }
 
-// suiteKey identifies one memoized suite: the core configuration by
-// value, so two configs that share a name never share results, and the
-// predictor arm by spec (or by caller-chosen label for closure factories
-// — see CompareWith).
+// suiteKey identifies one memoized suite: the core configuration and the
+// predictor arm, both by value, so two configs that share a name never
+// share results and two arms that build the same predictor always do.
 type suiteKey struct {
 	core ooo.Config
 	spec Spec
@@ -69,23 +67,14 @@ func (r *Runner) SuiteRuns() int { return r.suiteRuns }
 
 // Baseline returns (memoized) baseline results for a core config.
 func (r *Runner) Baseline(cfg ooo.Config) []Result {
-	return r.memoSuite(cfg, SpecNone, nil)
+	return r.memoSuite(cfg, SpecNone)
 }
 
-// Compare runs the spec's predictor suite — memoized per (cfg, spec) —
-// and pairs it with the (equally memoized) baseline.
+// Compare runs the arm's predictor suite — memoized per (cfg, spec) — and
+// pairs it with the (equally memoized) baseline. Comparing SpecNone pairs
+// the baseline with itself.
 func (r *Runner) Compare(cfg ooo.Config, spec Spec) []Pair {
-	return r.pair(cfg, r.memoSuite(cfg, spec, Factory(spec)))
-}
-
-// CompareWith is Compare for ad-hoc predictor factories that have no Spec
-// (parameter sweeps). label keys the memo alongside the named specs, so it
-// must uniquely describe the factory's configuration.
-func (r *Runner) CompareWith(cfg ooo.Config, label string, pf PredFactory) []Pair {
-	return r.pair(cfg, r.memoSuite(cfg, Spec(label), pf))
-}
-
-func (r *Runner) pair(cfg ooo.Config, pred []Result) []Pair {
+	pred := r.memoSuite(cfg, spec)
 	base := r.Baseline(cfg)
 	pairs := make([]Pair, len(base))
 	for i := range base {
@@ -94,13 +83,13 @@ func (r *Runner) pair(cfg ooo.Config, pred []Result) []Pair {
 	return pairs
 }
 
-func (r *Runner) memoSuite(cfg ooo.Config, spec Spec, pf PredFactory) []Result {
+func (r *Runner) memoSuite(cfg ooo.Config, spec Spec) []Result {
 	key := suiteKey{core: cfg, spec: spec}
 	if res, ok := r.suites[key]; ok {
 		return res
 	}
 	r.suiteRuns++
-	res, err := RunSuiteCtx(r.ctx, r.Workloads, cfg, pf, r.Opt)
+	res, err := RunSuiteCtx(r.ctx, r.Workloads, cfg, Factory(spec), r.Opt)
 	if err != nil && r.err == nil {
 		r.err = err
 	}
@@ -263,15 +252,26 @@ func runFig9(r *Runner, out io.Writer) error {
 	return nil
 }
 
+// arm is one labelled row of a comparison table.
+type arm struct {
+	label string
+	spec  Spec
+}
+
+// priorArtArms are the five bars of Figs 10/11.
+var priorArtArms = []arm{
+	{"MR-8KB", SpecMR8KB}, {"Composite-8KB", SpecComp8KB}, {"FVP", SpecFVP},
+	{"MR-1KB", SpecMR1KB}, {"Composite-1KB", SpecComp1KB},
+}
+
 func priorArt(r *Runner, cfg ooo.Config, out io.Writer) error {
-	specs := []Spec{SpecMR8KB, SpecComp8KB, SpecFVP, SpecMR1KB, SpecComp1KB}
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "predictor\tstorage\tIPC gain\tcoverage")
-	for _, s := range specs {
-		pairs := r.Compare(cfg, s)
-		bits := Factory(s)().StorageBits()
+	for _, a := range priorArtArms {
+		pairs := r.Compare(cfg, a.spec)
+		bits := Factory(a.spec)().StorageBits()
 		fmt.Fprintf(w, "%s\t%.1f KB\t%s\t%.0f%%\n",
-			s, float64(bits)/8/1024, pct(Geomean(pairs)), MeanCoverage(pairs)*100)
+			a.label, float64(bits)/8/1024, pct(Geomean(pairs)), MeanCoverage(pairs)*100)
 	}
 	w.Flush()
 	return nil
@@ -289,12 +289,15 @@ func runFig11(r *Runner, out io.Writer) error {
 
 func runFig12(r *Runner, out io.Writer) error {
 	fmt.Fprintln(out, "Criticality criteria on Skylake (paper: L1-Miss-Only 0.0%@6%, L1-Miss 2.1%@15%, FVP 3.3%@25%, Oracle 3.87%@19%)")
-	specs := []Spec{SpecFVPL1MissOnl, SpecFVPL1Miss, SpecFVP, SpecFVPOracle}
+	arms := []arm{
+		{"FVP-L1-Miss-Only", SpecFVPL1MissOnl}, {"FVP-L1-Miss", SpecFVPL1Miss},
+		{"FVP", SpecFVP}, {"FVP-Oracle", SpecFVPOracle},
+	}
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "policy\tIPC gain\tcoverage")
-	for _, s := range specs {
-		pairs := r.Compare(ooo.Skylake(), s)
-		fmt.Fprintf(w, "%s\t%s\t%.0f%%\n", s, pct(Geomean(pairs)), MeanCoverage(pairs)*100)
+	for _, a := range arms {
+		pairs := r.Compare(ooo.Skylake(), a.spec)
+		fmt.Fprintf(w, "%s\t%s\t%.0f%%\n", a.label, pct(Geomean(pairs)), MeanCoverage(pairs)*100)
 	}
 	w.Flush()
 	return nil
@@ -342,13 +345,9 @@ func runEpoch(r *Runner, out io.Writer) error {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "epoch\tIPC gain")
 	for _, epoch := range []uint64{25_000, 100_000, 400_000, 1_600_000, 6_400_000} {
-		epoch := epoch
-		pf := func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.Epoch = epoch
-			return core.New(c)
-		}
-		pairs := r.CompareWith(ooo.Skylake(), fmt.Sprintf("FVP-epoch-%d", epoch), pf)
+		spec := SpecFVP
+		spec.FVP.Epoch = epoch
+		pairs := r.Compare(ooo.Skylake(), spec)
 		fmt.Fprintf(w, "%d\t%s\n", epoch, pct(Geomean(pairs)))
 	}
 	w.Flush()
@@ -408,31 +407,25 @@ func runStalls(r *Runner, out io.Writer) error {
 
 func runTableSizes(r *Runner, out io.Writer) error {
 	fmt.Fprintln(out, "§VI-D: table sizes (paper: VT 48→96 + VF 40→128 ≈ +1%; beyond that flat; CIT size nearly irrelevant)")
-	type cfgRow struct {
-		label           string
-		vt, vf, cit, lt int
-	}
-	rows := []cfgRow{
-		{"VT 24 / VF 20 / CIT 32", 24, 20, 32, 2},
-		{"VT 48 / VF 40 / CIT 32 (default)", 48, 40, 32, 2},
-		{"VT 96 / VF 128 / CIT 32", 96, 128, 32, 2},
-		{"VT 192 / VF 256 / CIT 32", 192, 256, 32, 2},
-		{"VT 48 / VF 40 / CIT 8", 48, 40, 8, 2},
-		{"VT 48 / VF 40 / CIT 16", 48, 40, 16, 2},
+	rows := []struct {
+		label       string
+		vt, vf, cit int
+	}{
+		{"VT 24 / VF 20 / CIT 32", 24, 20, 32},
+		{"VT 48 / VF 40 / CIT 32 (default)", 48, 40, 32},
+		{"VT 96 / VF 128 / CIT 32", 96, 128, 32},
+		{"VT 192 / VF 256 / CIT 32", 192, 256, 32},
+		{"VT 48 / VF 40 / CIT 8", 48, 40, 8},
+		{"VT 48 / VF 40 / CIT 16", 48, 40, 16},
 	}
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "configuration\tIPC gain\tcoverage")
 	for _, row := range rows {
-		row := row
-		pf := func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.VTEntries = row.vt
-			c.MR.VFEntries = row.vf
-			c.CITEntries = row.cit
-			c.LTEntries = row.lt
-			return core.New(c)
-		}
-		pairs := r.CompareWith(ooo.Skylake(), "FVP-"+row.label, pf)
+		spec := SpecFVP
+		spec.FVP.VTEntries = row.vt
+		spec.FVP.MR.VFEntries = row.vf
+		spec.FVP.CITEntries = row.cit
+		pairs := r.Compare(ooo.Skylake(), spec)
 		fmt.Fprintf(w, "%s\t%s\t%.0f%%\n", row.label, pct(Geomean(pairs)), MeanCoverage(pairs)*100)
 	}
 	w.Flush()

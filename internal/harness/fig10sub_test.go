@@ -22,8 +22,8 @@ func TestFig10Subset(t *testing.T) {
 		w, _ := workload.ByName(n)
 		r.Workloads = append(r.Workloads, w)
 	}
-	for _, s := range []Spec{SpecFVP, SpecComp8KB, SpecComp1KB, SpecMR8KB, SpecMR1KB} {
-		pairs := r.Compare(ooo.Skylake(), s)
-		t.Logf("%-14s %+0.2f%% cov=%.0f%%", s, (Geomean(pairs)-1)*100, MeanCoverage(pairs)*100)
+	for _, a := range priorArtArms {
+		pairs := r.Compare(ooo.Skylake(), a.spec)
+		t.Logf("%-14s %+0.2f%% cov=%.0f%%", a.label, (Geomean(pairs)-1)*100, MeanCoverage(pairs)*100)
 	}
 }

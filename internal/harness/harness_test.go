@@ -31,19 +31,34 @@ func runSuite(t testing.TB, ws []workload.Workload, cfg ooo.Config, pf PredFacto
 	return out
 }
 
+// Every named arm but the baseline builds a predictor, and no two named
+// arms are equal, so none shares another's memoized suites. A family
+// outside the nine panics.
 func TestFactoriesConstructible(t *testing.T) {
-	specs := []Spec{
+	if Factory(SpecNone) != nil {
+		t.Error("the baseline has a factory")
+	}
+	arms := []Spec{
 		SpecNone, SpecFVP, SpecFVPRegOnly, SpecFVPMemOnly, SpecFVPL1Miss,
 		SpecFVPL1MissOnl, SpecFVPOracle, SpecFVPAllTypes, SpecFVPBrChains,
 		SpecMR8KB, SpecMR1KB, SpecComp8KB, SpecComp1KB, SpecLVP, SpecStride,
+		SpecVTAGE, SpecEVES,
 	}
-	for _, s := range specs {
+	seen := map[Spec]int{}
+	for i, s := range arms {
+		if j, ok := seen[s]; ok {
+			t.Errorf("arms %d and %d are equal", j, i)
+		}
+		seen[s] = i
+		if s == SpecNone {
+			continue
+		}
 		p := Factory(s)()
 		if p == nil {
-			t.Fatalf("factory %s returned nil", s)
+			t.Fatalf("arm %d: factory returned nil", i)
 		}
 		if p.StorageBits() < 0 {
-			t.Errorf("%s storage negative", s)
+			t.Errorf("arm %d (%s): storage negative", i, p.Name())
 		}
 	}
 }
@@ -51,10 +66,10 @@ func TestFactoriesConstructible(t *testing.T) {
 func TestUnknownSpecPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("unknown spec must panic")
+			t.Error("an arm of a family outside the nine must panic")
 		}
 	}()
-	Factory(Spec("nope"))
+	Factory(Spec{Family: FamilyEVES + 1})
 }
 
 func TestRunOneProducesMetrics(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"fvp/internal/core"
 	"fvp/internal/ooo"
-	"fvp/internal/vp"
 )
 
 func memoRunner() *Runner {
@@ -18,7 +17,7 @@ func memoRunner() *Runner {
 }
 
 // TestCompareMemoized asserts the suite memo: a second Compare with the
-// same (config, spec) — from the same or a different experiment — performs
+// same (config, arm), from the same or a different experiment, performs
 // zero new suite runs and returns identical results.
 func TestCompareMemoized(t *testing.T) {
 	r := memoRunner()
@@ -37,47 +36,59 @@ func TestCompareMemoized(t *testing.T) {
 		t.Fatal("memoized Compare returned different pairs")
 	}
 
-	// The baseline is shared across specs on the same config...
+	// The baseline is shared across arms on the same config, and the
+	// baseline arm itself is the baseline suite...
 	r.Compare(cfg, SpecMR8KB)
+	r.Compare(cfg, SpecNone)
 	if got := r.SuiteRuns(); got != runs+1 {
-		t.Fatalf("new spec on cached config did %d new runs, want 1", got-runs)
+		t.Fatalf("MR-8KB and baseline arms on a cached config did %d new runs, want 1", got-runs)
 	}
+
 	// ...and a different core config misses on both arms.
+	runs = r.SuiteRuns()
 	r.Compare(ooo.Skylake2X(), SpecFVP)
-	if got := r.SuiteRuns(); got != runs+3 {
-		t.Fatalf("new config did %d new runs, want 2", got-runs-1)
+	if got := r.SuiteRuns(); got != runs+2 {
+		t.Fatalf("new config did %d new runs, want 2", got-runs)
 	}
 	if r.Err() != nil {
 		t.Fatalf("runner error: %v", r.Err())
 	}
 }
 
-// TestCompareWithMemoized covers the closure-factory path used by the
-// epoch and table-size sweeps: rows are keyed by label, so the same label
-// memoizes and distinct labels do not collide.
+// TestCompareWithMemoized asserts that an arm is keyed by value, as the
+// epoch and table-size sweeps rely on: an FVP arm built afresh from the
+// default configuration is SpecFVP and hits its memo, and an FVP arm with
+// a different epoch is a suite of its own.
 func TestCompareWithMemoized(t *testing.T) {
 	r := memoRunner()
 	cfg := ooo.Skylake()
-	pf := func(epoch uint64) PredFactory {
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.Epoch = epoch
-			return core.New(c)
-		}
+	epochArm := func(epoch uint64) Spec {
+		c := core.DefaultConfig()
+		c.Epoch = epoch
+		return Spec{Family: FamilyFVP, FVP: c}
 	}
 
-	a := r.CompareWith(cfg, "FVP-epoch-100000", pf(100_000))
+	first := r.Compare(cfg, SpecFVP)
 	runs := r.SuiteRuns()
-	b := r.CompareWith(cfg, "FVP-epoch-100000", pf(100_000))
+	if !reflect.DeepEqual(r.Compare(cfg, epochArm(400_000)), first) {
+		t.Fatal("the default epoch returned pairs other than SpecFVP's")
+	}
 	if got := r.SuiteRuns(); got != runs {
-		t.Fatalf("repeat CompareWith did %d new suite runs, want 0", got-runs)
+		t.Fatalf("default epoch did %d new suite runs, want 0", got-runs)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("memoized CompareWith returned different pairs")
-	}
-	r.CompareWith(cfg, "FVP-epoch-400000", pf(400_000))
+	a := r.Compare(cfg, epochArm(100_000))
 	if got := r.SuiteRuns(); got != runs+1 {
-		t.Fatalf("distinct label did %d new runs, want 1", got-runs)
+		t.Fatalf("another epoch did %d new suite runs, want 1", got-runs)
+	}
+	runs = r.SuiteRuns()
+	if !reflect.DeepEqual(r.Compare(cfg, epochArm(100_000)), a) {
+		t.Fatal("memoized epoch arm returned different pairs")
+	}
+	if got := r.SuiteRuns(); got != runs {
+		t.Fatalf("repeat epoch arm did %d new suite runs, want 0", got-runs)
+	}
+	if r.Err() != nil {
+		t.Fatalf("runner error: %v", r.Err())
 	}
 }
 

@@ -23,97 +23,88 @@ import (
 // single-core).
 type PredFactory func() vp.Predictor
 
-// Spec names the predictor configurations the evaluation uses.
-type Spec string
+// Family is a predictor design: FVP, standalone Memory Renaming, or a
+// prior-art predictor at the one sizing the evaluation uses.
+type Family uint8
 
-// Predictor specs used across the experiments.
+// The predictor families. FamilyNone, the zero value, is the baseline.
 const (
-	SpecNone         Spec = "baseline"
-	SpecFVP          Spec = "FVP"
-	SpecFVPRegOnly   Spec = "FVP-reg-only"
-	SpecFVPMemOnly   Spec = "FVP-mem-only"
-	SpecFVPL1Miss    Spec = "FVP-L1-Miss"
-	SpecFVPL1MissOnl Spec = "FVP-L1-Miss-Only"
-	SpecFVPOracle    Spec = "FVP-Oracle"
-	SpecFVPAllTypes  Spec = "FVP-all-types"
-	SpecFVPBrChains  Spec = "FVP-branch-chains"
-	SpecMR8KB        Spec = "MR-8KB"
-	SpecMR1KB        Spec = "MR-1KB"
-	SpecComp8KB      Spec = "Composite-8KB"
-	SpecComp1KB      Spec = "Composite-1KB"
-	SpecLVP          Spec = "LVP"
-	SpecStride       Spec = "Stride"
-	SpecVTAGE        Spec = "VTAGE"
-	SpecEVES         Spec = "EVES"
+	FamilyNone Family = iota
+	FamilyFVP
+	FamilyMR
+	FamilyComposite8KB
+	FamilyComposite1KB
+	FamilyLVP
+	FamilyStride
+	FamilyVTAGE
+	FamilyEVES
 )
 
-// Factory returns the constructor for a spec.
+// Spec is one predictor arm of the evaluation. It is comparable, so two
+// arms that build the same predictor are equal and share memoized
+// suites. FVP arms carry their core.Config and MR arms their
+// vp.MRConfig; a field the family does not read stays zero. The zero
+// Spec is the baseline.
+type Spec struct {
+	Family Family
+	FVP    core.Config
+	MR     vp.MRConfig
+}
+
+// The named arms: the baseline, FVP and its variants from Figs 12/13 and
+// §VI-A, each the default configuration with one field changed, and the
+// prior art.
+var (
+	SpecNone         = Spec{}
+	SpecFVP          = Spec{Family: FamilyFVP, FVP: core.DefaultConfig()}
+	SpecFVPRegOnly   = fvpArm(func(c *core.Config) { c.DisableMR = true })
+	SpecFVPMemOnly   = fvpArm(func(c *core.Config) { c.MROnly = true })
+	SpecFVPL1Miss    = fvpArm(func(c *core.Config) { c.Policy = core.CritL1Miss })
+	SpecFVPL1MissOnl = fvpArm(func(c *core.Config) { c.Policy = core.CritL1MissOnly })
+	SpecFVPOracle    = fvpArm(func(c *core.Config) { c.Policy = core.CritOracle })
+	SpecFVPAllTypes  = fvpArm(func(c *core.Config) { c.AllTypes = true })
+	SpecFVPBrChains  = fvpArm(func(c *core.Config) { c.BranchChains = true })
+	SpecMR8KB        = Spec{Family: FamilyMR, MR: vp.MR8KBConfig()}
+	SpecMR1KB        = Spec{Family: FamilyMR, MR: vp.MR1KBConfig()}
+	SpecComp8KB      = Spec{Family: FamilyComposite8KB}
+	SpecComp1KB      = Spec{Family: FamilyComposite1KB}
+	SpecLVP          = Spec{Family: FamilyLVP}
+	SpecStride       = Spec{Family: FamilyStride}
+	SpecVTAGE        = Spec{Family: FamilyVTAGE}
+	SpecEVES         = Spec{Family: FamilyEVES}
+)
+
+// fvpArm is SpecFVP with edit applied to its configuration.
+func fvpArm(edit func(c *core.Config)) Spec {
+	s := SpecFVP
+	edit(&s.FVP)
+	return s
+}
+
+// Factory returns the constructor for an arm, or nil for the baseline,
+// which runs without a predictor.
 func Factory(s Spec) PredFactory {
-	switch s {
-	case SpecNone:
-		return func() vp.Predictor { return vp.None{} }
-	case SpecFVP:
-		return func() vp.Predictor { return core.New(core.DefaultConfig()) }
-	case SpecFVPRegOnly:
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.DisableMR = true
-			return core.New(c)
-		}
-	case SpecFVPMemOnly:
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.MROnly = true
-			return core.New(c)
-		}
-	case SpecFVPL1Miss:
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.Policy = core.CritL1Miss
-			return core.New(c)
-		}
-	case SpecFVPL1MissOnl:
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.Policy = core.CritL1MissOnly
-			return core.New(c)
-		}
-	case SpecFVPOracle:
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.Policy = core.CritOracle
-			return core.New(c)
-		}
-	case SpecFVPAllTypes:
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.AllTypes = true
-			return core.New(c)
-		}
-	case SpecFVPBrChains:
-		return func() vp.Predictor {
-			c := core.DefaultConfig()
-			c.BranchChains = true
-			return core.New(c)
-		}
-	case SpecMR8KB:
-		return func() vp.Predictor { return vp.NewMR(vp.MR8KBConfig()) }
-	case SpecMR1KB:
-		return func() vp.Predictor { return vp.NewMR(vp.MR1KBConfig()) }
-	case SpecComp8KB:
+	switch s.Family {
+	case FamilyNone:
+		return nil
+	case FamilyFVP:
+		return func() vp.Predictor { return core.New(s.FVP) }
+	case FamilyMR:
+		return func() vp.Predictor { return vp.NewMR(s.MR) }
+	case FamilyComposite8KB:
 		return func() vp.Predictor { return vp.NewComposite8KB(7) }
-	case SpecComp1KB:
+	case FamilyComposite1KB:
 		return func() vp.Predictor { return vp.NewComposite1KB(7) }
-	case SpecLVP:
+	case FamilyLVP:
 		return func() vp.Predictor { return vp.NewLVP(64, 2, 7) }
-	case SpecStride:
+	case FamilyStride:
 		return func() vp.Predictor { return vp.NewStride(6) }
-	case SpecVTAGE:
+	case FamilyVTAGE:
 		return func() vp.Predictor { return vp.NewVTAGE(256, 96, 21) }
-	case SpecEVES:
+	case FamilyEVES:
 		return func() vp.Predictor { return vp.NewEVES(256, 80, 6, 23) }
 	}
-	panic("harness: unknown spec " + string(s))
+	panic(fmt.Sprintf("harness: unknown predictor family %d", s.Family))
 }
 
 // Result is the outcome of one (workload, core, predictor) run, measured
@@ -472,24 +463,6 @@ func (p Pair) Speedup() float64 {
 		return 1
 	}
 	return p.Pred.IPC / p.Base.IPC
-}
-
-// RunComparisonCtx runs baseline and predictor suites and pairs them up;
-// both suites honor ctx and the first error is returned.
-func RunComparisonCtx(ctx context.Context, ws []workload.Workload, coreCfg ooo.Config, pf PredFactory, opt Options) ([]Pair, error) {
-	base, err := RunSuiteCtx(ctx, ws, coreCfg, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := RunSuiteCtx(ctx, ws, coreCfg, pf, opt)
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([]Pair, len(ws))
-	for i := range ws {
-		pairs[i] = Pair{Base: base[i], Pred: pred[i]}
-	}
-	return pairs, nil
 }
 
 // Geomean returns the geometric mean of the pairs' speedups.

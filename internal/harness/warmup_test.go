@@ -85,11 +85,9 @@ func TestExplicitDetailedMatchesDefault(t *testing.T) {
 // detailed-warmup run (the tight 1% geomean bound is the CI fidelity gate;
 // this is the always-on sanity rail).
 func TestFunctionalWarmupSmoke(t *testing.T) {
-	for _, spec := range []Spec{SpecNone, SpecFVP, SpecMR8KB, SpecComp8KB} {
-		var pf PredFactory
-		if spec != SpecNone {
-			pf = Factory(spec)
-		}
+	arms := []arm{{"baseline", SpecNone}, {"FVP", SpecFVP}, {"MR-8KB", SpecMR8KB}, {"Composite-8KB", SpecComp8KB}}
+	for _, a := range arms {
+		pf := Factory(a.spec)
 		w, _ := workload.ByName("omnetpp")
 		det := runOne(t, w, ooo.Skylake(), pf, Options{WarmupInsts: 20_000, MeasureInsts: 50_000})
 		fun := runOne(t, w, ooo.Skylake(), pf, Options{
@@ -98,22 +96,22 @@ func TestFunctionalWarmupSmoke(t *testing.T) {
 		// The warmup window splits into a functional bulk and a short
 		// detailed tail; FFInsts counts only the former.
 		if want := 20_000 - detailTail(20_000); fun.FFInsts != want {
-			t.Errorf("%s: FFInsts = %d, want %d", spec, fun.FFInsts, want)
+			t.Errorf("%s: FFInsts = %d, want %d", a.label, fun.FFInsts, want)
 		}
 		if det.FFInsts != 0 {
-			t.Errorf("%s: detailed run reported FFInsts = %d", spec, det.FFInsts)
+			t.Errorf("%s: detailed run reported FFInsts = %d", a.label, det.FFInsts)
 		}
 		// Retirement is width-granular, so the measured region may
 		// overshoot its bound by up to a commit group.
 		if fun.Stats.Retired < 50_000 || fun.Stats.Retired > 50_000+16 {
-			t.Errorf("%s: measured %d insts, want ~50000", spec, fun.Stats.Retired)
+			t.Errorf("%s: measured %d insts, want ~50000", a.label, fun.Stats.Retired)
 		}
 		if fun.IPC <= 0 {
-			t.Fatalf("%s: functional-warmup IPC = %v", spec, fun.IPC)
+			t.Fatalf("%s: functional-warmup IPC = %v", a.label, fun.IPC)
 		}
 		if rel := math.Abs(fun.IPC-det.IPC) / det.IPC; rel > 0.10 {
 			t.Errorf("%s: functional IPC %.4f vs detailed %.4f (%.1f%% off)",
-				spec, fun.IPC, det.IPC, rel*100)
+				a.label, fun.IPC, det.IPC, rel*100)
 		}
 	}
 }

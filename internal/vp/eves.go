@@ -62,8 +62,9 @@ type EVES struct {
 	stride *Stride
 }
 
-// NewEVES builds an EVES-style predictor (≈8 KB at the defaults used by
-// harness.SpecEVES).
+// NewEVES builds an EVES-style predictor (≈8 KB at the sizing the
+// harness's EVES family uses: 256 base entries, 80 per tagged table,
+// 6 stride bits).
 func NewEVES(baseEntries, taggedPerTable int, strideBits uint, seed uint64) *EVES {
 	return &EVES{
 		vtage:  NewVTAGE(baseEntries, taggedPerTable, seed),
