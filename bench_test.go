@@ -311,8 +311,9 @@ func subsetWorkloads(names ...string) []workload.Workload {
 // advances the same simulation by another 50k retired instructions, so
 // ns/op and allocs/op reflect only in-loop work — no setup, no cache
 // warm-up, no predictor construction. The input is the functional
-// generator, as in every production run. This is the number the
-// cycle-loop speedup claim is measured against (see BENCH_core.json).
+// generator, as in every production run. It is a quick local check of the
+// loop's cost; a claimed cycle-loop speedup is measured end to end with
+// bench/ (bench/run.sh).
 func BenchmarkCoreCycleLoop(b *testing.B) {
 	const instsPerOp = 50_000
 	w, _ := workload.ByName("omnetpp")
@@ -334,10 +335,10 @@ func BenchmarkCoreCycleLoop(b *testing.B) {
 // memory beforehand, not the live functional generator, whose memory image
 // allocates a page the first time the program writes to it, so the count
 // is the timing model's own. The SoA window and index-carrying scheduler
-// queues leave only incidental growth (dependence-list and fetch-buffer
-// reslicing that occasionally regrows); the bound has headroom over the
-// observed rate but fails loudly if per-instruction allocation ever sneaks
-// back into the loop. Every run must retire its full chunk: a window that
+// queues leave only incidental growth (a dependence list or the replay
+// queue that occasionally outgrows its array); the bound has headroom over
+// the observed rate but fails loudly if per-instruction allocation ever
+// sneaks back into the loop. Every run must retire its full chunk: a window that
 // ran dry would stop the core early and the guard would measure nothing.
 func TestCycleLoopAllocs(t *testing.T) {
 	if testing.Short() {
@@ -500,8 +501,7 @@ func BenchmarkTAGEPredict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		taken := i%3 == 0
 		_, st := tg.Predict(0x400000, &g)
-		snap := g.Snapshot()
-		tg.Update(0x400000, &snap, st, taken)
+		tg.Update(0x400000, st, taken)
 		g.Push(0x400000, taken)
 	}
 }

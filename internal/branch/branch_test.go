@@ -20,18 +20,6 @@ func TestGlobalHistoryPushBits(t *testing.T) {
 	}
 }
 
-func TestGlobalHistorySnapshotRestore(t *testing.T) {
-	var g GlobalHistory
-	g.Push(0x100, true)
-	snap := g.Snapshot()
-	g.Push(0x104, true)
-	g.Push(0x108, false)
-	g.Restore(snap)
-	if g.Bits(64) != snap.Bits(64) || g.Path() != snap.Path() {
-		t.Error("restore did not rewind history")
-	}
-}
-
 // Property: folding never exceeds the output width.
 func TestFoldWidthProperty(t *testing.T) {
 	f := func(bits uint64, histLen, outBits uint8) bool {
@@ -85,8 +73,7 @@ func trainTAGE(t *TAGE, g *GlobalHistory, pc uint64, n int, outcome func(i int) 
 		if pred == taken {
 			correct++
 		}
-		snap := g.Snapshot()
-		t.Update(pc, &snap, st, taken)
+		t.Update(pc, st, taken)
 		g.Push(pc, taken)
 	}
 	return correct
@@ -156,7 +143,7 @@ func TestITTAGELearnsTarget(t *testing.T) {
 	const pc, tgt = 0x900, 0x5000
 	for i := 0; i < 50; i++ {
 		_, _, st := it.Predict(pc, &g)
-		it.Update(pc, &g, st, tgt)
+		it.Update(pc, st, tgt)
 	}
 	got, ok, _ := it.Predict(pc, &g)
 	if !ok || got != tgt {
@@ -181,7 +168,7 @@ func TestITTAGEHistoryCorrelatedTargets(t *testing.T) {
 		if ok && got == want {
 			correct++
 		}
-		it.Update(pc, &g, st, want)
+		it.Update(pc, st, want)
 	}
 	if float64(correct)/6000 < 0.9 {
 		t.Errorf("correlated-target accuracy %d/6000", correct)

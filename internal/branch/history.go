@@ -12,8 +12,7 @@
 package branch
 
 // GlobalHistory is a shift register of conditional-branch outcomes plus a
-// path history of branch PCs. It supports checkpoint/restore so the core can
-// repair history on squashes.
+// path history of branch PCs.
 type GlobalHistory struct {
 	// bits holds the outcome history, most recent outcome in bit 0.
 	bits uint64
@@ -40,12 +39,6 @@ func (g *GlobalHistory) Bits(n uint) uint64 {
 
 // Path returns the folded path history.
 func (g *GlobalHistory) Path() uint64 { return g.path }
-
-// Snapshot captures the current history for later restore.
-func (g *GlobalHistory) Snapshot() GlobalHistory { return *g }
-
-// Restore rewinds the history to a snapshot (used on pipeline squash).
-func (g *GlobalHistory) Restore(s GlobalHistory) { *g = s }
 
 // Fold compresses the low histLen bits of history into outBits bits by
 // XOR-folding, the standard TAGE index/tag hashing step.

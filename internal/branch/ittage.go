@@ -70,21 +70,27 @@ func (t *ITTAGE) tag(pc uint64, g *GlobalHistory, table int) uint16 {
 	return uint16(((pc >> 2) ^ (pc >> 12) ^ h) & (1<<t.cfg.TagBits - 1))
 }
 
-// ittState mirrors lookupState for the indirect predictor.
+// ittState mirrors lookupState for the indirect predictor: the lookup
+// visits the tables from the longest history down to the provider.
 type ittState struct {
 	provider int
 	target   uint64
 	hit      bool
+	idx      [maxTables]uint32
+	tag      [maxTables]uint16
 }
 
 // Predict returns the predicted target for the indirect branch at pc.
-// ok is false when no table has any entry (cold predictor).
+// ok is false when no table has any entry (cold predictor). The returned
+// state must be passed back to Update.
 func (t *ITTAGE) Predict(pc uint64, g *GlobalHistory) (uint64, bool, ittState) {
 	t.Lookups++
 	st := ittState{provider: -1}
 	for i := len(t.tbl) - 1; i >= 0; i-- {
-		e := &t.tbl[i][t.idx(pc, g, i)]
-		if e.tag == t.tag(pc, g, i) && e.target != 0 {
+		ix, tag := t.idx(pc, g, i), t.tag(pc, g, i)
+		st.idx[i], st.tag[i] = uint32(ix), tag
+		e := &t.tbl[i][ix]
+		if e.tag == tag && e.target != 0 {
 			st.provider = i
 			st.target = e.target
 			st.hit = true
@@ -100,16 +106,17 @@ func (t *ITTAGE) Predict(pc uint64, g *GlobalHistory) (uint64, bool, ittState) {
 	return 0, false, st
 }
 
-// Update trains the predictor with the resolved target.
-func (t *ITTAGE) Update(pc uint64, g *GlobalHistory, st ittState, target uint64) {
+// Update trains the predictor with the resolved target, on the entries
+// st's lookup visited.
+func (t *ITTAGE) Update(pc uint64, st ittState, target uint64) {
 	correct := st.hit && st.target == target
 	if !correct {
 		t.Mispredicts++
 	}
 
 	if st.provider >= 0 {
-		e := &t.tbl[st.provider][t.idx(pc, g, st.provider)]
-		if e.tag == t.tag(pc, g, st.provider) {
+		e := &t.tbl[st.provider][st.idx[st.provider]]
+		if e.tag == st.tag[st.provider] {
 			if e.target == target {
 				if e.conf < 3 {
 					e.conf++
@@ -143,16 +150,16 @@ func (t *ITTAGE) Update(pc uint64, g *GlobalHistory, st ittState, target uint64)
 	if !correct {
 		start := st.provider + 1
 		for i := start; i < len(t.tbl); i++ {
-			e := &t.tbl[i][t.idx(pc, g, i)]
+			e := &t.tbl[i][st.idx[i]]
 			if e.ucnt == 0 {
-				e.tag = t.tag(pc, g, i)
+				e.tag = st.tag[i]
 				e.target = target
 				e.conf = 0
 				return
 			}
 		}
 		for i := start; i < len(t.tbl); i++ {
-			e := &t.tbl[i][t.idx(pc, g, i)]
+			e := &t.tbl[i][st.idx[i]]
 			if e.ucnt > 0 {
 				e.ucnt--
 			}

@@ -50,6 +50,11 @@ func DefaultTAGEConfig() TAGEConfig {
 	}
 }
 
+// maxTables bounds the tagged tables of a TAGE or ITTAGE: a lookup state
+// carries one index and tag per table, so a predictor with more tables
+// panics on its first lookup.
+const maxTables = 8
+
 // NewTAGE builds a predictor from cfg.
 func NewTAGE(cfg TAGEConfig) *TAGE {
 	t := &TAGE{cfg: cfg}
@@ -94,15 +99,21 @@ func (t *TAGE) tag(pc uint64, g *GlobalHistory, table int) uint16 {
 	return uint16(((pc >> 2) ^ h ^ h2) & (1<<t.cfg.TagBits - 1))
 }
 
-// lookupState records where a prediction came from so Update can train the
-// same entries even if tables changed in between (the core calls Update in
-// retirement order with the lookup-time history snapshot).
+// lookupState records where a prediction came from, and the index and tag
+// of every tagged table the lookup visited, so Update trains the entries
+// the lookup read without hashing the history again, as a hardware TAGE
+// carries its lookup indices with the branch. Predict visits the tables
+// from the longest history down to the provider, which covers every table
+// Update reads: the provider and all longer ones. Unit.PredictAndTrain
+// calls Update right after Predict.
 type lookupState struct {
 	provider int // table index of provider, -1 = bimodal
 	altPred  bool
 	provPred bool
 	provWeak bool
 	pred     bool
+	idx      [maxTables]uint32
+	tag      [maxTables]uint16
 }
 
 // Predict returns the predicted direction for the conditional branch at pc
@@ -113,8 +124,10 @@ func (t *TAGE) Predict(pc uint64, g *GlobalHistory) (bool, lookupState) {
 	st.altPred = t.base[t.baseIdx(pc)] >= 0
 	altFrom := -1
 	for i := len(t.tbl) - 1; i >= 0; i-- {
-		e := &t.tbl[i][t.idx(pc, g, i)]
-		if e.tag != t.tag(pc, g, i) {
+		ix, tag := t.idx(pc, g, i), t.tag(pc, g, i)
+		st.idx[i], st.tag[i] = uint32(ix), tag
+		e := &t.tbl[i][ix]
+		if e.tag != tag {
 			continue
 		}
 		if st.provider < 0 {
@@ -153,10 +166,10 @@ func satDec(c int8, min int8) int8 {
 	return c
 }
 
-// Update trains the predictor with the resolved direction, using the
-// history snapshot from lookup time. It also performs TAGE allocation when
-// the provider mispredicted.
-func (t *TAGE) Update(pc uint64, g *GlobalHistory, st lookupState, taken bool) {
+// Update trains the predictor with the resolved direction, on the entries
+// st's lookup visited. It also performs TAGE allocation when the provider
+// mispredicted.
+func (t *TAGE) Update(pc uint64, st lookupState, taken bool) {
 	if st.pred != taken {
 		t.Mispredicts++
 	}
@@ -171,8 +184,8 @@ func (t *TAGE) Update(pc uint64, g *GlobalHistory, st lookupState, taken bool) {
 	}
 
 	if st.provider >= 0 {
-		e := &t.tbl[st.provider][t.idx(pc, g, st.provider)]
-		if e.tag == t.tag(pc, g, st.provider) {
+		e := &t.tbl[st.provider][st.idx[st.provider]]
+		if e.tag == st.tag[st.provider] {
 			if taken {
 				e.ctr = satInc(e.ctr, 3)
 			} else {
@@ -201,9 +214,9 @@ func (t *TAGE) Update(pc uint64, g *GlobalHistory, st lookupState, taken bool) {
 		start := st.provider + 1
 		allocated := false
 		for i := start; i < len(t.tbl); i++ {
-			e := &t.tbl[i][t.idx(pc, g, i)]
+			e := &t.tbl[i][st.idx[i]]
 			if e.ucnt == 0 {
-				e.tag = t.tag(pc, g, i)
+				e.tag = st.tag[i]
 				if taken {
 					e.ctr = 0
 				} else {
@@ -216,7 +229,7 @@ func (t *TAGE) Update(pc uint64, g *GlobalHistory, st lookupState, taken bool) {
 		if !allocated {
 			// Decay usefulness so future allocations can succeed.
 			for i := start; i < len(t.tbl); i++ {
-				e := &t.tbl[i][t.idx(pc, g, i)]
+				e := &t.tbl[i][st.idx[i]]
 				if e.ucnt > 0 {
 					e.ucnt--
 				}

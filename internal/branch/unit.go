@@ -48,13 +48,12 @@ func (u *Unit) Reset() {
 // models: predictor state never sees wrong-path pollution, which slightly
 // flatters all configurations equally.
 func (u *Unit) PredictAndTrain(d *isa.DynInst) (correct bool) {
-	histSnap := u.Hist.Snapshot()
 	switch d.Op {
 	case isa.OpBranch:
 		// Direct branch: target comes from the decoder, so a correct
 		// direction implies a correct next PC.
 		pred, st := u.Dir.Predict(d.PC, &u.Hist)
-		u.Dir.Update(d.PC, &histSnap, st, d.Taken)
+		u.Dir.Update(d.PC, st, d.Taken)
 		u.Hist.Push(d.PC, d.Taken)
 		return pred == d.Taken
 	case isa.OpCall:
@@ -65,7 +64,7 @@ func (u *Unit) PredictAndTrain(d *isa.DynInst) (correct bool) {
 		return ok && tgt == d.Target
 	case isa.OpIndirect:
 		tgt, ok, st := u.Indirect.Predict(d.PC, &u.Hist)
-		u.Indirect.Update(d.PC, &histSnap, st, d.Target)
+		u.Indirect.Update(d.PC, st, d.Target)
 		return ok && tgt == d.Target
 	}
 	return true // direct jumps and non-branches

@@ -146,9 +146,10 @@ func (c *Cache) set(s uint64) []line {
 // lines in s are first+k for k = (s-first) mod sets, then every sets-th
 // line; line first+k, if inserted, gets lru = base+k+1, the clock value its
 // own Fill would have set. A span's lines are distinct, so only a line an
-// earlier span left can be present, and once the span has made `ways`
-// inserts into s none is left: of its remaining lines in s, all inserts,
-// only the last `ways` stay.
+// earlier span left can be present: a span that overlaps no earlier one
+// inserts every line without a presence scan. Once the span has made
+// `ways` inserts into s, no earlier line is left: of its remaining lines in
+// s, all inserts, only the last `ways` stay.
 func (c *Cache) rebuild(s uint64, set []line) {
 	clear(set)
 	c.setEpoch[s] = c.epoch
@@ -163,7 +164,7 @@ func (c *Cache) rebuild(s uint64, set []line) {
 					ins += rest - ways
 				}
 			}
-			if tag := sp.first + k; !present(set, tag) {
+			if tag := sp.first + k; !sp.overlaps || !present(set, tag) {
 				set[ins%ways] = line{tag: tag, valid: true, lru: sp.base + k + 1}
 				ins++
 				made++
@@ -308,8 +309,12 @@ func (c *Cache) Fill(addr uint64, readyAt uint64, write, prefetched bool) {
 type Span struct{ Base, Bytes uint64 }
 
 // warmSpan is a Span as WarmFill records it: its n lines from line number
-// (= tag) first, filled while the LRU clock went from base to base+n.
-type warmSpan struct{ first, n, base uint64 }
+// (= tag) first, filled while the LRU clock went from base to base+n, and
+// whether any of them is also a line of an earlier span.
+type warmSpan struct {
+	first, n, base uint64
+	overlaps       bool
+}
 
 // WarmFill installs the lines of spans in order, each span from its first
 // line up to Base+Bytes, as clean lines with data ready at cycle 0. The
@@ -327,9 +332,15 @@ func (c *Cache) WarmFill(spans []Span) {
 	for _, sp := range spans {
 		start := sp.Base >> c.lineBits << c.lineBits
 		if end := sp.Base + sp.Bytes; end > start {
-			n := (end-start-1)>>c.lineBits + 1
-			c.warm = append(c.warm, warmSpan{first: start >> c.lineBits, n: n, base: c.tick})
-			c.tick += n
+			w := warmSpan{first: start >> c.lineBits, n: (end-start-1)>>c.lineBits + 1, base: c.tick}
+			for _, e := range c.warm {
+				if w.first < e.first+e.n && e.first < w.first+w.n {
+					w.overlaps = true
+					break
+				}
+			}
+			c.warm = append(c.warm, w)
+			c.tick += w.n
 		}
 	}
 	c.epoch++

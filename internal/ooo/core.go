@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"fmt"
+
 	"fvp/internal/branch"
 	"fvp/internal/isa"
 	"fvp/internal/memdep"
@@ -45,24 +47,28 @@ type Core struct {
 
 	src     InstSource
 	srcDone bool
-	// replay/fetchQ are consumed from rpHead/fqHead instead of re-slicing,
-	// so the backing arrays are reused instead of reallocated as the
-	// queues drain and refill.
-	replay  []fetchEnt // flush replay queue (oldest first)
-	rpHead  int
-	fetchQ  []fetchEnt
-	fqHead  int
-	pending *fetchEnt // fetched from source but stalled on the I-cache
-	// fetchScratch backs nextInst's non-pending returns so fetching does
-	// not heap-allocate per micro-op. pending may point here; it is always
-	// consumed before nextInst overwrites the scratch.
-	fetchScratch fetchEnt
+	// replay is consumed from rpHead instead of re-slicing, so its backing
+	// array is reused instead of reallocated as it drains and refills.
+	replay []fetchEnt // flush replay queue (oldest first)
+	rpHead int
+	// fq is the fetch buffer: a ring of FetchBufferSize+1 entries holding
+	// fqLen fetched micro-ops from fqHead on. Fetch fills the slot after
+	// them in place; when held is set, that slot holds a micro-op fetched
+	// but stalled on the I-cache, which the next fetch takes first.
+	fq     []fetchEnt
+	fqHead int
+	fqLen  int
+	held   bool
 
 	// w is the struct-of-arrays reorder buffer (see soa.go); head/count
 	// are the circular-buffer cursors over its slots.
 	w     window
 	head  int
 	count int
+
+	// ports is the per-cycle issue budget, built once from the config and
+	// copied by each stageIssue.
+	ports portBudget
 
 	// Rename state: per architectural register, the in-flight producer
 	// and the last-writer PC (speculative + retired images for repair).
@@ -99,10 +105,10 @@ type Core struct {
 	brChainMask uint64
 
 	// Event-driven scheduler state (see sched.go).
-	readyQ     []schedRef   // waiting entries that may issue
+	readyQ     []schedRef   // waiting entries that may issue this cycle
 	issueCand  []schedRef   // per-cycle scratch: readyQ in window order
 	deps       [][]schedRef // per-slot subscribers woken at completion
-	done       doneHeap     // scheduled completions
+	done       doneHeap     // scheduled completions, (cycle, slot) keys
 	pendStores []schedRef   // issued stores awaiting their data operand
 	waiters    []schedRef   // loads deferred behind an older store
 	wbCand     []schedRef   // per-cycle scratch for stageWriteback
@@ -206,8 +212,13 @@ func (s *RunStats) IPC() float64 {
 
 // New builds a core. pred may be nil for the no-value-prediction baseline.
 // initMem is the program's initial memory image used to answer early-probe
-// reads (the core clones it; the caller's copy is not modified).
+// reads (the core clones it; the caller's copy is not modified). It panics
+// when cfg.ROBSize exceeds the 1<<16 slots a completion key can name, which
+// only a config bug produces.
 func New(cfg Config, pred vp.Predictor, src InstSource, initMem *prog.Memory) *Core {
+	if cfg.ROBSize > 1<<slotBits {
+		panic(fmt.Sprintf("ooo: ROBSize %d exceeds the %d slots a completion key holds", cfg.ROBSize, 1<<slotBits))
+	}
 	if pred == nil {
 		pred = vp.None{}
 	}
@@ -218,6 +229,14 @@ func New(cfg Config, pred vp.Predictor, src InstSource, initMem *prog.Memory) *C
 		ss:   memdep.New(cfg.SSITBits, cfg.LFSTBits),
 		pred: pred,
 		src:  src,
+		fq:   make([]fetchEnt, cfg.FetchBufferSize+1),
+		ports: portBudget{
+			alu:   cfg.ALUPorts,
+			load:  cfg.LoadPorts,
+			store: cfg.StorePorts,
+			fp:    cfg.FPPorts,
+			br:    cfg.BranchPorts,
+		},
 	}
 	c.w.init(cfg.ROBSize)
 	if initMem != nil {
@@ -232,7 +251,15 @@ func New(cfg Config, pred vp.Predictor, src InstSource, initMem *prog.Memory) *C
 	c.brChain = make([]uint16, brChainEntries)
 	c.brChainMask = brChainEntries - 1
 
+	// Each slot's dependence list starts with room for depsCap subscribers,
+	// carved from one array, so the lists do not each grow from empty; a
+	// list that outgrows its room reallocates alone.
+	const depsCap = 4
+	deps := make([]schedRef, cfg.ROBSize*depsCap)
 	c.deps = make([][]schedRef, cfg.ROBSize)
+	for i := range c.deps {
+		c.deps[i] = deps[i*depsCap : i*depsCap : (i+1)*depsCap]
+	}
 	c.ldWin.init(cfg.LQSize)
 	c.stWin.init(cfg.SQSize)
 	c.nextSample = ^uint64(0)
@@ -262,10 +289,9 @@ func (c *Core) Reset(pred vp.Predictor, src InstSource, initMem *prog.Memory) {
 
 	c.replay = c.replay[:0]
 	c.rpHead = 0
-	c.fetchQ = c.fetchQ[:0]
 	c.fqHead = 0
-	c.pending = nil
-	c.fetchScratch = fetchEnt{}
+	c.fqLen = 0
+	c.held = false
 
 	c.w.reset()
 	c.head = 0
@@ -336,11 +362,22 @@ func (c *Core) Hierarchy() *memsys.Hierarchy { return c.hier }
 // StoreSets exposes the disambiguation predictor for inspection.
 func (c *Core) StoreSets() *memdep.StoreSets { return c.ss }
 
-func (c *Core) idx(i int) int { return (c.head + i) % len(c.w.inst) }
+// idx returns the rob slot at window position i (0 = head), for i below
+// the ROB size. Slot arithmetic wraps with a compare: the ROB size is not a
+// power of two, and a division costs more than the branch.
+func (c *Core) idx(i int) int {
+	if i += c.head; i >= len(c.w.inst) {
+		i -= len(c.w.inst)
+	}
+	return i
+}
 
 // distFromHead returns the window position of rob slot ri (0 = head).
 func (c *Core) distFromHead(ri int) int {
-	return (ri - c.head + len(c.w.inst)) % len(c.w.inst)
+	if ri -= c.head; ri < 0 {
+		ri += len(c.w.inst)
+	}
+	return ri
 }
 
 // destAvail reports when slot i's register result is usable by consumers,

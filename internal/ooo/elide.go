@@ -59,13 +59,13 @@ package ooo
 func (c *Core) nextEventHorizon() (uint64, bool) {
 	h := ^uint64(0)
 	if len(c.done) > 0 {
-		h = c.done[0].at
+		h = c.done.next()
 	}
 	if c.fetchStallUntil > c.now && c.fetchStallUntil < h {
 		h = c.fetchStallUntil
 	}
-	if c.fqHead < len(c.fetchQ) {
-		if ra := c.fetchQ[c.fqHead].readyAt; ra > c.now && ra < h {
+	if c.fqLen > 0 {
+		if ra := c.fq[c.fqHead].readyAt; ra > c.now && ra < h {
 			h = ra
 		}
 	}

@@ -54,8 +54,8 @@ func (c *Core) RunCtx(ctx context.Context, maxRetired uint64) (RunStats, error) 
 		if c.Stats.Cycles >= c.nextSample {
 			c.sample()
 		}
-		if c.srcDone && c.count == 0 && len(c.fetchQ)-c.fqHead == 0 &&
-			len(c.replay)-c.rpHead == 0 && c.pending == nil {
+		if c.srcDone && c.count == 0 && c.fqLen == 0 && !c.held &&
+			len(c.replay)-c.rpHead == 0 {
 			break
 		}
 		// Inert cycle and nothing armed for issue: jump the clock to the
@@ -101,7 +101,9 @@ func (c *Core) stageRetire() {
 			break
 		}
 		c.commit(h)
-		c.head = (c.head + 1) % len(c.w.inst)
+		if c.head++; c.head == len(c.w.inst) {
+			c.head = 0
+		}
 		c.count--
 		retired++
 	}
@@ -296,13 +298,16 @@ func (f *flushReq) request(dist int, inclusive bool, penalty uint64) {
 func (c *Core) stageWriteback() {
 	var flush flushReq
 	cand := c.wbCand[:0]
-	for len(c.done) > 0 && c.done[0].at <= c.now {
-		ev := c.done.pop()
-		ei := int(ev.idx)
-		// Drop events whose entry was squashed or re-issued with a
-		// different completion time since the event was scheduled.
-		if c.w.seq[ei] == ev.seq && c.w.state[ei] == sIssued && c.w.doneAt[ei] == ev.at {
-			cand = append(cand, schedRef{idx: ev.idx, seq: ev.seq})
+	for len(c.done) > 0 && c.done.next() <= c.now {
+		k := c.done.pop()
+		ei := int(k & (1<<slotBits - 1))
+		// Drop keys whose slot was squashed or re-issued with a different
+		// completion time since the key was pushed. A key left by a
+		// squashed occupant can pass when the new occupant completes in
+		// the same cycle; it then duplicates that occupant's own candidate,
+		// which finds the slot sDone and does nothing (see doneKey).
+		if c.w.state[ei] == sIssued && c.w.doneAt[ei] == k>>slotBits {
+			cand = append(cand, schedRef{idx: int32(ei), seq: c.w.seq[ei]})
 		}
 	}
 	cand = append(cand, c.pendStores...)

@@ -9,16 +9,6 @@ type portBudget struct {
 	alu, load, store, fp, br int
 }
 
-func (c *Core) budget() portBudget {
-	return portBudget{
-		alu:   c.cfg.ALUPorts,
-		load:  c.cfg.LoadPorts,
-		store: c.cfg.StorePorts,
-		fp:    c.cfg.FPPorts,
-		br:    c.cfg.BranchPorts,
-	}
-}
-
 func (b *portBudget) take(class int) bool {
 	var p *int
 	switch class {
@@ -43,9 +33,10 @@ func (b *portBudget) take(class int) bool {
 }
 
 // stageIssue used to scan the whole window; it now walks only the ready
-// queue. Entries whose sources turn out unavailable park on their producers'
-// dependence lists (parkIssue) and re-enter the queue when a producer
-// completes. Entries that are source-ready but blocked on a port or the
+// queue, which an entry enters when none of its producers is in flight or
+// one of them completes (see parkIssue). An entry whose sources turn out
+// unavailable parks on its producers' dependence lists again and re-enters
+// the queue when a producer completes. Entries that are source-ready but blocked on a port or the
 // store-sets gate stay armed and are re-examined every cycle: the full scan
 // re-evaluated ready() for them each cycle, and ready() records the
 // last-arriving producer (criticality state the oracle walk reads), so their
@@ -56,7 +47,7 @@ func (c *Core) stageIssue() {
 	if len(c.readyQ) == 0 {
 		return
 	}
-	b := c.budget()
+	b := c.ports
 	cand := c.issueCand[:0]
 	for _, ref := range c.readyQ {
 		ei := int(ref.idx)
@@ -270,13 +261,13 @@ func (c *Core) stageRename() {
 	// predicts up to LoadPorts loads per cycle (§IV-C).
 	vpBudget := c.cfg.LoadPorts
 	for n := 0; n < c.cfg.RenameWidth; n++ {
-		if c.fqHead >= len(c.fetchQ) || c.fetchQ[c.fqHead].readyAt > c.now {
+		if c.fqLen == 0 || c.fq[c.fqHead].readyAt > c.now {
 			return
 		}
 		if c.count >= c.cfg.ROBSize || c.iqCount >= c.cfg.IQSize {
 			return
 		}
-		fe := &c.fetchQ[c.fqHead]
+		fe := &c.fq[c.fqHead]
 		if fe.d.Op.IsLoad() && c.lqCount >= c.cfg.LQSize {
 			return
 		}
@@ -284,27 +275,33 @@ func (c *Core) stageRename() {
 			return
 		}
 		c.rename(fe, &vpBudget)
-		c.fqHead++
-		if c.fqHead == len(c.fetchQ) {
-			c.fetchQ = c.fetchQ[:0]
+		if c.fqHead++; c.fqHead == len(c.fq) {
 			c.fqHead = 0
 		}
+		c.fqLen--
 	}
 }
 
 func (c *Core) rename(fe *fetchEnt, vpBudget *int) {
 	c.activity = true
-	slot := (c.head + c.count) % len(c.w.inst)
+	slot := c.head + c.count
+	if slot >= len(c.w.inst) {
+		slot -= len(c.w.inst)
+	}
 	// Drop dependence subscriptions left by the slot's previous occupant
 	// (only squashed entries leave any; completion already drains the list).
 	c.deps[slot] = c.deps[slot][:0]
+
 	c.w.reinit(slot, &fe.d, fe.histSnap)
 	d := &c.w.inst[slot]
 	cold := &c.w.cold[slot]
 
-	// Source lookup through the RAT; parent PCs through RAT-PC.
-	srcRegs := [2]isa.Reg{d.Src1, d.Src2}
-	for s, r := range srcRegs {
+	// Source lookup through the RAT; parent PCs, the distinct nonzero
+	// last-writer PCs of the sources, through RAT-PC. The parents are built
+	// in locals and stored once.
+	var parents [2]uint64
+	nparents := 0
+	for s, r := range [2]isa.Reg{d.Src1, d.Src2} {
 		if r == isa.RegZero {
 			continue
 		}
@@ -312,20 +309,13 @@ func (c *Core) rename(fe *fetchEnt, vpBudget *int) {
 		if rp.hasProd && c.w.seq[rp.prodIdx] == rp.prodSeq {
 			c.w.src[2*slot+s] = srcDep{prodIdx: rp.prodIdx, prodSeq: rp.prodSeq, hasProd: true}
 		}
-		if pc := c.regPC[r]; pc != 0 {
-			dup := false
-			for k := 0; k < int(cold.nparents); k++ {
-				if cold.parents[k] == pc {
-					dup = true
-					break
-				}
-			}
-			if !dup && cold.nparents < 2 {
-				cold.parents[cold.nparents] = pc
-				cold.nparents++
-			}
+		if pc := c.regPC[r]; pc != 0 && (nparents == 0 || parents[0] != pc) {
+			parents[nparents] = pc
+			nparents++
 		}
 	}
+	cold.parents = parents
+	cold.nparents = uint8(nparents)
 
 	// Memory-dependence prediction (store sets).
 	switch {
@@ -348,8 +338,8 @@ func (c *Core) rename(fe *fetchEnt, vpBudget *int) {
 	// (stores deposit their identity in MR's Value File); accepting a
 	// prediction is limited by the per-cycle budget.
 	c.ctx.Hist = fe.histSnap
-	c.ctx.Parents = cold.parents
-	c.ctx.NumParents = int(cold.nparents)
+	c.ctx.Parents = parents
+	c.ctx.NumParents = nparents
 	p := c.pred.Lookup(d, &c.ctx)
 	if p.Valid && *vpBudget > 0 {
 		switch {
@@ -378,8 +368,8 @@ func (c *Core) rename(fe *fetchEnt, vpBudget *int) {
 	if fe.mispred {
 		c.w.flags[slot] |= fBrMispredict
 		c.Stats.BranchMispredicts++
-		for k := 0; k < int(cold.nparents); k++ {
-			c.brChainInsert(cold.parents[k])
+		for k := 0; k < nparents; k++ {
+			c.brChainInsert(parents[k])
 		}
 	}
 
@@ -396,9 +386,10 @@ func (c *Core) rename(fe *fetchEnt, vpBudget *int) {
 			c.trc.PipeEvent(EvPredict, c.now, d, cold.predValue)
 		}
 	}
-	// Newly renamed entries enter the ready queue; the first issue attempt
-	// parks them on their producers if the sources are not yet available.
-	c.armIssue(slot)
+	// A new entry waits on its in-flight producers instead of trying to
+	// issue next cycle: that attempt would fail while they are in flight,
+	// and a failed attempt changes nothing.
+	c.parkIssue(slot, d.Op.IsStore())
 }
 
 // findStoreBySeq locates an in-window store by sequence number (false when
@@ -420,22 +411,15 @@ func (c *Core) stageFetch() {
 		return
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if len(c.fetchQ)-c.fqHead >= c.cfg.FetchBufferSize {
+		if c.fqLen >= c.cfg.FetchBufferSize {
 			return
 		}
-		if len(c.fetchQ) == cap(c.fetchQ) && c.fqHead > 0 {
-			// Compact the consumed prefix so the buffer's backing
-			// array is reused instead of regrown.
-			live := copy(c.fetchQ, c.fetchQ[c.fqHead:])
-			c.fetchQ = c.fetchQ[:live]
-			c.fqHead = 0
-		}
-		fe, ok := c.nextInst()
-		if !ok {
+		fe := &c.fq[c.fqTail()]
+		if !c.nextInst(fe) {
 			return
 		}
 		// Any fetched micro-op is activity — including the I-cache-miss
-		// path below, which parks it as the pending holdover.
+		// path below, which keeps it in its slot as the holdover.
 		c.activity = true
 		// Instruction cache: charge a stall when fetch crosses into an
 		// uncached line.
@@ -445,7 +429,7 @@ func (c *Core) stageFetch() {
 			c.lastFetchLine = line
 			if done > c.now {
 				c.fetchStallUntil = done
-				c.pending = fe
+				c.held = true
 				return
 			}
 		}
@@ -458,10 +442,10 @@ func (c *Core) stageFetch() {
 			}
 		}
 		fe.readyAt = c.now + c.cfg.FrontEndDepth
-		c.fetchQ = append(c.fetchQ, *fe)
+		c.fqLen++
 		c.Stats.Fetched++
 		if c.trc != nil {
-			c.trc.PipeEvent(EvFetch, c.now, &c.fetchQ[len(c.fetchQ)-1].d, 0)
+			c.trc.PipeEvent(EvFetch, c.now, &fe.d, 0)
 		}
 		if fe.mispred {
 			// Fetch stops behind the mispredicted branch until it
@@ -473,32 +457,42 @@ func (c *Core) stageFetch() {
 	}
 }
 
-// nextInst obtains the next micro-op in program order: the I-cache-stalled
-// holdover, then the flush-replay queue, then the trace source.
-func (c *Core) nextInst() (*fetchEnt, bool) {
-	if c.pending != nil {
-		fe := c.pending
-		c.pending = nil
-		return fe, true
+// fqTail returns the fetch-buffer slot after the buffered micro-ops.
+func (c *Core) fqTail() int {
+	t := c.fqHead + c.fqLen
+	if t >= len(c.fq) {
+		t -= len(c.fq)
+	}
+	return t
+}
+
+// nextInst puts the next micro-op in program order into fe, the tail slot
+// of the fetch buffer: the I-cache-stalled holdover already there, then the
+// flush-replay queue, then the instruction source. It reports false when
+// there is none.
+func (c *Core) nextInst(fe *fetchEnt) bool {
+	if c.held {
+		c.held = false
+		return true
 	}
 	if c.rpHead < len(c.replay) {
-		c.fetchScratch = c.replay[c.rpHead]
+		*fe = c.replay[c.rpHead]
 		c.rpHead++
 		if c.rpHead == len(c.replay) {
 			c.replay = c.replay[:0]
 			c.rpHead = 0
 		}
-		return &c.fetchScratch, true
+		return true
 	}
 	if c.srcDone {
-		return nil, false
+		return false
 	}
-	c.fetchScratch = fetchEnt{}
-	if !c.src.Next(&c.fetchScratch.d) {
+	*fe = fetchEnt{}
+	if !c.src.Next(&fe.d) {
 		c.srcDone = true
-		return nil, false
+		return false
 	}
-	return &c.fetchScratch, true
+	return true
 }
 
 // ------------------------------------------------------------------ flush
@@ -562,19 +556,21 @@ func (c *Core) applyFlush(f flushReq) {
 	}
 	c.count = start
 
-	for i := c.fqHead; i < len(c.fetchQ); i++ {
-		fe := c.fetchQ[i]
-		fe.replayed = true
-		squashed = append(squashed, fe)
+	for i, fi := 0, c.fqHead; i < c.fqLen; i++ {
+		squashed = append(squashed, c.fq[fi])
+		squashed[len(squashed)-1].replayed = true
+		if fi++; fi == len(c.fq) {
+			fi = 0
+		}
 	}
-	c.fetchQ = c.fetchQ[:0]
-	c.fqHead = 0
-	if c.pending != nil {
+	if c.held {
 		// The I-cache holdover was never predicted or renamed; it goes
 		// back as a fresh fetch.
-		squashed = append(squashed, *c.pending)
-		c.pending = nil
+		squashed = append(squashed, c.fq[c.fqTail()])
+		c.held = false
 	}
+	c.fqHead = 0
+	c.fqLen = 0
 	// Prepend by swapping buffers: the unread replay tail moves behind the
 	// squashed micro-ops, and the old replay array becomes the next
 	// flush's scratch space.

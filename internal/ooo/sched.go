@@ -5,12 +5,14 @@ package ooo
 // structures here replace those scans with wakeup events so each cycle only
 // touches entries whose state can actually change:
 //
-//   - readyQ holds the waiting entries that might issue this cycle. An entry
-//     leaves it when it issues, or parks on its producers' dependent lists
-//     (deps) when a source is not available; completion of a producer wakes
-//     its dependents back into readyQ.
-//   - done is a min-heap of scheduled completions: every doneAt assignment
-//     pushes one event, and stageWriteback pops only the events due now.
+//   - readyQ holds the waiting entries that may issue this cycle. Rename
+//     parks a new entry on its unavailable producers' dependent lists
+//     (deps), so it enters readyQ at once only if it has none; completion of
+//     a producer wakes its dependents into readyQ. An entry leaves readyQ
+//     when it issues, or parks again if a source is still in flight.
+//   - done is a min-heap of scheduled completions, keyed by cycle and slot:
+//     every doneAt assignment pushes one key, and stageWriteback pops only
+//     the keys due now.
 //   - pendStores / waiters are the (small) sets the model genuinely
 //     re-examines every cycle: stores whose address issued but whose data
 //     operand is still in flight, and loads deferred behind an older store.
@@ -32,57 +34,63 @@ type schedRef struct {
 	idx int32
 }
 
-// doneEv is one scheduled completion.
-type doneEv struct {
-	at  uint64
-	seq uint64
-	idx int32
-}
+// slotBits is the width of the slot field of a completion key, which bounds
+// the window at 1<<slotBits entries (New panics on a larger ROB).
+const slotBits = 16
 
-// doneHeap is a binary min-heap of completions ordered by (at, seq). It is
-// hand-rolled (no container/heap) to keep push/pop allocation-free.
-type doneHeap []doneEv
+// doneKey packs a completion as doneAt<<slotBits | slot, so keys order by
+// (cycle, slot). It carries no seq: writeback honors a key only while its
+// slot is sIssued with that doneAt, which drops a squashed occupant's key.
+// A new occupant that completes in the same cycle has its own key there,
+// so the stale one finds it sDone and does nothing.
+func doneKey(at uint64, slot int) uint64 { return at<<slotBits | uint64(slot) }
 
-func (h doneHeap) less(i, j int) bool {
-	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
-}
+// doneHeap is a binary min-heap of completion keys. It is hand-rolled (no
+// container/heap) to keep push/pop allocation-free.
+type doneHeap []uint64
 
-func (h *doneHeap) push(ev doneEv) {
-	*h = append(*h, ev)
+// next returns the cycle of the earliest key; the heap must not be empty.
+func (h doneHeap) next() uint64 { return h[0] >> slotBits }
+
+func (h *doneHeap) push(k uint64) {
+	*h = append(*h, k)
 	a := *h
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !a.less(i, p) {
+		if a[p] <= k {
 			break
 		}
-		a[i], a[p] = a[p], a[i]
+		a[i] = a[p]
 		i = p
 	}
+	a[i] = k
 }
 
-func (h *doneHeap) pop() doneEv {
+func (h *doneHeap) pop() uint64 {
 	a := *h
 	top := a[0]
 	n := len(a) - 1
-	a[0] = a[n]
-	*h = a[:n]
+	k := a[n]
 	a = a[:n]
+	*h = a
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && a.less(l, s) {
-			s = l
-		}
-		if r < n && a.less(r, s) {
-			s = r
-		}
-		if s == i {
+		s := 2*i + 1
+		if s >= n {
 			break
 		}
-		a[i], a[s] = a[s], a[i]
+		if r := s + 1; r < n && a[r] < a[s] {
+			s = r
+		}
+		if k <= a[s] {
+			break
+		}
+		a[i] = a[s]
 		i = s
+	}
+	if n > 0 {
+		a[i] = k
 	}
 	return top
 }
@@ -149,7 +157,7 @@ func (r *seqRing) searchSeq(seq uint64) int {
 // recomputed against it (see elide.go).
 func (c *Core) scheduleDone(ri int) {
 	c.activity = true
-	c.done.push(doneEv{at: c.w.doneAt[ri], seq: c.w.seq[ri], idx: int32(ri)})
+	c.done.push(doneKey(c.w.doneAt[ri], ri))
 }
 
 // armIssue puts a waiting slot into the ready queue (idempotent). Arming
@@ -162,14 +170,15 @@ func (c *Core) armIssue(ri int) {
 	}
 }
 
-// parkIssue removes a source-blocked slot from the ready queue and
-// subscribes it to every producer whose completion could make the missing
-// source available. addrOnly restricts the subscription to source 0 (stores
-// issue on the address operand alone). A predicted producer whose value
-// rides on an MR-linked store becomes available when that store completes —
-// possibly before the producer itself executes — so the entry subscribes to
-// both. If nothing is actually blocking (can only happen transiently), the
-// entry is re-armed instead so it is never stranded.
+// parkIssue subscribes a waiting slot to every producer whose completion
+// could make a missing source available, and takes it out of the ready
+// queue; with nothing blocking, it arms the slot instead. Rename calls it
+// for every new entry, and stageIssue for an entry whose issue attempt
+// found a source unavailable. addrOnly restricts the subscription to source
+// 0 (stores issue on the address operand alone). A predicted producer whose
+// value rides on an MR-linked store becomes available when that store
+// completes — possibly before the producer itself executes — so the entry
+// subscribes to both.
 func (c *Core) parkIssue(ri int, addrOnly bool) {
 	c.w.flags[ri] &^= fInReadyQ
 	me := schedRef{idx: int32(ri), seq: c.w.seq[ri]}
