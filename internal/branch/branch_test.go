@@ -33,6 +33,41 @@ func TestFoldWidthProperty(t *testing.T) {
 	}
 }
 
+// TestTAGEHashMatchesFold holds TAGE.hash to the Fold-based refIdx and
+// refTag over random histories, paths and PCs: in the default and
+// FuzzBranchHashes' tiny configuration, where the tag's narrower fold is
+// the index fold and hash reuses it, and in one where the widths differ.
+func TestTAGEHashMatchesFold(t *testing.T) {
+	cfgs := []struct {
+		name  string
+		cfg   TAGEConfig
+		reuse bool
+	}{
+		{"default", DefaultTAGEConfig(), true},
+		{"tiny", TAGEConfig{BaseBits: 2, TableBits: 2, TagBits: 3, HistLens: []uint{2, 5, 11, 24}}, true},
+		{"wide-tags", TAGEConfig{BaseBits: 4, TableBits: 7, TagBits: 12, HistLens: []uint{3, 9, 27, 64}}, false},
+	}
+	for _, c := range cfgs {
+		tg := NewTAGE(c.cfg)
+		if tg.tagFoldIsIdx != c.reuse {
+			t.Errorf("%s: tagFoldIsIdx = %v, want %v", c.name, tg.tagFoldIsIdx, c.reuse)
+		}
+		f := func(bits, path, pc uint64) bool {
+			g := GlobalHistory{bits: bits, path: path}
+			for i := range c.cfg.HistLens {
+				ix, tag := tg.hash(pc, &g, i)
+				if uint64(ix) != tg.refIdx(pc, &g, i) || tag != tg.refTag(pc, &g, i) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
 func TestRASLIFO(t *testing.T) {
 	r := NewRAS(4)
 	r.Push(1)

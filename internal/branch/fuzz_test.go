@@ -8,6 +8,22 @@ import (
 	"fvp/internal/isa"
 )
 
+// refIdx and refTag are the reference for TAGE.hash: the index and tag
+// formulas written directly on Fold, one fold per use.
+func (t *TAGE) refIdx(pc uint64, g *GlobalHistory, table int) uint64 {
+	hl := t.cfg.HistLens[table]
+	h := g.Fold(hl, t.cfg.TableBits)
+	p := g.Path() & (1<<t.cfg.TableBits - 1)
+	return ((pc >> 2) ^ (pc >> (2 + t.cfg.TableBits)) ^ h ^ p) & (1<<t.cfg.TableBits - 1)
+}
+
+func (t *TAGE) refTag(pc uint64, g *GlobalHistory, table int) uint16 {
+	hl := t.cfg.HistLens[table]
+	h := g.Fold(hl, t.cfg.TagBits)
+	h2 := g.Fold(hl, t.cfg.TagBits-1) << 1
+	return uint16(((pc >> 2) ^ h ^ h2) & (1<<t.cfg.TagBits - 1))
+}
+
 // refUpdate is the reference for TAGE.Update: it re-folds the lookup-time
 // history g to find the entries to train, where Update reads the indices
 // and tags its Predict recorded.
@@ -23,8 +39,8 @@ func (t *TAGE) refUpdate(pc uint64, g *GlobalHistory, st lookupState, taken bool
 		}
 	}
 	if st.provider >= 0 {
-		e := &t.tbl[st.provider][t.idx(pc, g, st.provider)]
-		if e.tag == t.tag(pc, g, st.provider) {
+		e := &t.tbl[st.provider][t.refIdx(pc, g, st.provider)]
+		if e.tag == t.refTag(pc, g, st.provider) {
 			if taken {
 				e.ctr = satInc(e.ctr, 3)
 			} else {
@@ -50,9 +66,9 @@ func (t *TAGE) refUpdate(pc uint64, g *GlobalHistory, st lookupState, taken bool
 		start := st.provider + 1
 		allocated := false
 		for i := start; i < len(t.tbl); i++ {
-			e := &t.tbl[i][t.idx(pc, g, i)]
+			e := &t.tbl[i][t.refIdx(pc, g, i)]
 			if e.ucnt == 0 {
-				e.tag = t.tag(pc, g, i)
+				e.tag = t.refTag(pc, g, i)
 				if taken {
 					e.ctr = 0
 				} else {
@@ -64,7 +80,7 @@ func (t *TAGE) refUpdate(pc uint64, g *GlobalHistory, st lookupState, taken bool
 		}
 		if !allocated {
 			for i := start; i < len(t.tbl); i++ {
-				e := &t.tbl[i][t.idx(pc, g, i)]
+				e := &t.tbl[i][t.refIdx(pc, g, i)]
 				if e.ucnt > 0 {
 					e.ucnt--
 				}

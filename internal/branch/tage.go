@@ -7,6 +7,11 @@ package branch
 // alternate-prediction fallback for weak newly-allocated entries.
 type TAGE struct {
 	cfg TAGEConfig
+	// tagFoldIsIdx records that the tag's narrower fold, TagBits-1 bits
+	// wide, has the index fold's width, TableBits: true in the default
+	// configuration, where hash then folds each history twice, not three
+	// times.
+	tagFoldIsIdx bool
 
 	base []int8 // bimodal counters, 2-bit
 	tbl  [][]tageEntry
@@ -57,7 +62,7 @@ const maxTables = 8
 
 // NewTAGE builds a predictor from cfg.
 func NewTAGE(cfg TAGEConfig) *TAGE {
-	t := &TAGE{cfg: cfg}
+	t := &TAGE{cfg: cfg, tagFoldIsIdx: cfg.TagBits-1 == cfg.TableBits}
 	t.base = make([]int8, 1<<cfg.BaseBits)
 	t.tbl = make([][]tageEntry, len(cfg.HistLens))
 	for i := range t.tbl {
@@ -85,18 +90,20 @@ func (t *TAGE) baseIdx(pc uint64) uint64 {
 	return (pc >> 2) & (1<<t.cfg.BaseBits - 1)
 }
 
-func (t *TAGE) idx(pc uint64, g *GlobalHistory, table int) uint64 {
+// hash returns the index and tag of the branch at pc under g in one tagged
+// table. The index folds the table's history length to TableBits bits;
+// the tag XORs folds to TagBits and, shifted left one, TagBits-1 bits.
+// Each distinct width is folded once.
+func (t *TAGE) hash(pc uint64, g *GlobalHistory, table int) (uint32, uint16) {
 	hl := t.cfg.HistLens[table]
-	h := g.Fold(hl, t.cfg.TableBits)
-	p := g.Path() & (1<<t.cfg.TableBits - 1)
-	return ((pc >> 2) ^ (pc >> (2 + t.cfg.TableBits)) ^ h ^ p) & (1<<t.cfg.TableBits - 1)
-}
-
-func (t *TAGE) tag(pc uint64, g *GlobalHistory, table int) uint16 {
-	hl := t.cfg.HistLens[table]
-	h := g.Fold(hl, t.cfg.TagBits)
-	h2 := g.Fold(hl, t.cfg.TagBits-1) << 1
-	return uint16(((pc >> 2) ^ h ^ h2) & (1<<t.cfg.TagBits - 1))
+	fIdx := g.Fold(hl, t.cfg.TableBits)
+	fNarrow := fIdx
+	if !t.tagFoldIsIdx {
+		fNarrow = g.Fold(hl, t.cfg.TagBits-1)
+	}
+	idx := ((pc >> 2) ^ (pc >> (2 + t.cfg.TableBits)) ^ fIdx ^ g.Path()) & (1<<t.cfg.TableBits - 1)
+	tag := ((pc >> 2) ^ g.Fold(hl, t.cfg.TagBits) ^ fNarrow<<1) & (1<<t.cfg.TagBits - 1)
+	return uint32(idx), uint16(tag)
 }
 
 // lookupState records where a prediction came from, and the index and tag
@@ -124,8 +131,8 @@ func (t *TAGE) Predict(pc uint64, g *GlobalHistory) (bool, lookupState) {
 	st.altPred = t.base[t.baseIdx(pc)] >= 0
 	altFrom := -1
 	for i := len(t.tbl) - 1; i >= 0; i-- {
-		ix, tag := t.idx(pc, g, i), t.tag(pc, g, i)
-		st.idx[i], st.tag[i] = uint32(ix), tag
+		ix, tag := t.hash(pc, g, i)
+		st.idx[i], st.tag[i] = ix, tag
 		e := &t.tbl[i][ix]
 		if e.tag != tag {
 			continue

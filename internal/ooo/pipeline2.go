@@ -34,9 +34,9 @@ func (b *portBudget) take(class int) bool {
 
 // stageIssue used to scan the whole window; it now walks only the ready
 // queue, which an entry enters when none of its producers is in flight or
-// one of them completes (see parkIssue). An entry whose sources turn out
-// unavailable parks on its producers' dependence lists again and re-enters
-// the queue when a producer completes. Entries that are source-ready but blocked on a port or the
+// the producer it parked on completes (see parkIssue). An entry whose
+// sources turn out unavailable parks again, on the producer of a source
+// still missing. Entries that are source-ready but blocked on a port or the
 // store-sets gate stay armed and are re-examined every cycle: the full scan
 // re-evaluated ready() for them each cycle, and ready() records the
 // last-arriving producer (criticality state the oracle walk reads), so their
@@ -386,8 +386,8 @@ func (c *Core) rename(fe *fetchEnt, vpBudget *int) {
 			c.trc.PipeEvent(EvPredict, c.now, d, cold.predValue)
 		}
 	}
-	// A new entry waits on its in-flight producers instead of trying to
-	// issue next cycle: that attempt would fail while they are in flight,
+	// A new entry waits on an in-flight producer instead of trying to
+	// issue next cycle: that attempt would fail while it is in flight,
 	// and a failed attempt changes nothing.
 	c.parkIssue(slot, d.Op.IsStore())
 }

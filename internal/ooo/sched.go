@@ -170,15 +170,17 @@ func (c *Core) armIssue(ri int) {
 	}
 }
 
-// parkIssue subscribes a waiting slot to every producer whose completion
-// could make a missing source available, and takes it out of the ready
-// queue; with nothing blocking, it arms the slot instead. Rename calls it
-// for every new entry, and stageIssue for an entry whose issue attempt
-// found a source unavailable. addrOnly restricts the subscription to source
-// 0 (stores issue on the address operand alone). A predicted producer whose
-// value rides on an MR-linked store becomes available when that store
-// completes — possibly before the producer itself executes — so the entry
-// subscribes to both.
+// parkIssue subscribes a waiting slot to the producer of its first
+// unavailable source, and takes it out of the ready queue; with nothing
+// blocking, it arms the slot instead. One subscription suffices: a source
+// becomes available only through a completion it can wait on, and the
+// woken slot re-checks all its sources, parking again on one still
+// missing. Rename calls it for every new entry, and stageIssue for an
+// entry whose issue attempt found a source unavailable. addrOnly restricts
+// the check to source 0 (stores issue on the address operand alone). A
+// predicted producer whose value rides on an MR-linked store becomes
+// available when that store completes — possibly before the producer
+// itself executes — so the entry subscribes to both.
 func (c *Core) parkIssue(ri int, addrOnly bool) {
 	c.w.flags[ri] &^= fInReadyQ
 	me := schedRef{idx: int32(ri), seq: c.w.seq[ri]}
@@ -186,7 +188,6 @@ func (c *Core) parkIssue(ri int, addrOnly bool) {
 	if addrOnly {
 		nsrc = 1
 	}
-	parked := false
 	for s := 0; s < nsrc; s++ {
 		d := &c.w.src[2*ri+s]
 		if !d.hasProd {
@@ -200,7 +201,6 @@ func (c *Core) parkIssue(ri int, addrOnly bool) {
 			continue
 		}
 		c.deps[pi] = append(c.deps[pi], me)
-		parked = true
 		if c.w.flags[pi]&fPredicted != 0 {
 			if ls := c.w.pred[pi].link; ls >= 0 {
 				li := int(ls)
@@ -209,10 +209,9 @@ func (c *Core) parkIssue(ri int, addrOnly bool) {
 				}
 			}
 		}
+		return
 	}
-	if !parked {
-		c.armIssue(ri)
-	}
+	c.armIssue(ri)
 }
 
 // wakeDependents moves the completed slot's subscribers back into the

@@ -17,8 +17,10 @@ import "sync/atomic"
 type Memory struct {
 	pages map[uint64]*memPage
 	// background, when non-nil, supplies the value of words that were
-	// never written. Workloads use a deterministic address hash so
-	// multi-megabyte cold tables exist without materializing pages.
+	// never written, so multi-megabyte tables exist without pages:
+	// workloads answer with a deterministic address hash for cold tables
+	// and with a table's one value for uniform ones. A write materializes
+	// its page from the same function.
 	background func(addr uint64) uint64
 }
 
@@ -83,35 +85,6 @@ func (m *Memory) Write(addr, v uint64) {
 		p = cp
 	}
 	p.words[(addr>>3)&wordMask] = v
-}
-
-// Fill writes v at base, base+8, ... below base+bytes, leaving the same
-// image a Write at each of those addresses would. A page the range covers
-// whole and that does not exist yet is built directly, without first
-// filling it from the background; every other word goes through Write.
-func (m *Memory) Fill(base, bytes, v uint64) {
-	if bytes == 0 {
-		return
-	}
-	// The addresses base+8i write the words base/8 + i.
-	w, end := base>>3, base>>3+(bytes+7)>>3
-	for w < end {
-		key := w >> (pageShift - 3)
-		pageEnd := (key + 1) << (pageShift - 3)
-		if w&wordMask == 0 && end >= pageEnd && m.pages[key] == nil {
-			p := new(memPage)
-			p.refs.Store(1)
-			for i := range p.words {
-				p.words[i] = v
-			}
-			m.pages[key] = p
-			w = pageEnd
-			continue
-		}
-		for stop := min(end, pageEnd); w < stop; w++ {
-			m.Write(w<<3, v)
-		}
-	}
 }
 
 // Clone returns a copy-on-write snapshot: the clone and the receiver share

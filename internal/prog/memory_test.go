@@ -76,70 +76,6 @@ func TestMemoryPages(t *testing.T) {
 	}
 }
 
-// TestMemoryFill holds Fill to the per-word Write loop it replaces: the same
-// words, Pages and SharedPages, and clones left as they were.
-func TestMemoryFill(t *testing.T) {
-	const page = 1 << pageShift
-	type tc struct {
-		base, bytes uint64
-		// setup writes the image both sides start from; it returns a
-		// clone to keep alive, or nil.
-		setup func(m *Memory) *Memory
-	}
-	cases := map[string]tc{
-		"whole pages":           {base: 0x40000, bytes: 3 * page},
-		"unaligned base":        {base: 0x40004, bytes: 3*page + 20},
-		"partial first, last":   {base: 0x40000 + 1000, bytes: 2*page + 8},
-		"within one page":       {base: 0x40010, bytes: 100},
-		"odd length":            {base: 0x40000, bytes: page + 3},
-		"one word short":        {base: 0x40000, bytes: 2*page - 8},
-		"zero length":           {base: 0x40000, bytes: 0},
-		"page already present":  {base: 0x40000, bytes: 3 * page, setup: func(m *Memory) *Memory { m.Write(0x41008, 7); return nil }},
-		"page shared by clone":  {base: 0x40000, bytes: 3 * page, setup: func(m *Memory) *Memory { m.Write(0x42000, 9); return m.Clone() }},
-		"clone of filled range": {base: 0x40000, bytes: 3 * page, setup: func(m *Memory) *Memory { m.Fill(0x40000, 3*page, 5); return m.Clone() }},
-	}
-	for name, c := range cases {
-		t.Run(name, func(t *testing.T) {
-			mems := [2]*Memory{}
-			keep := [2]*Memory{}
-			for i := range mems {
-				m := NewMemory()
-				m.SetBackground(func(a uint64) uint64 { return a*0x9E3779B1 + 1 })
-				if c.setup != nil {
-					keep[i] = c.setup(m)
-				}
-				mems[i] = m
-			}
-			lo, hi := c.base&^(page-1)-page, c.base+c.bytes+2*page
-			var before []uint64 // the clone's words, if there is one
-			for a := lo; keep[0] != nil && a < hi; a += 8 {
-				before = append(before, keep[0].Read(a))
-			}
-			mems[0].Fill(c.base, c.bytes, 0xABCD)
-			for a := c.base; a < c.base+c.bytes; a += 8 {
-				mems[1].Write(a, 0xABCD)
-			}
-			for i, a := 0, lo; a < hi; i, a = i+1, a+8 {
-				if got, want := mems[0].Read(a), mems[1].Read(a); got != want {
-					t.Fatalf("word %#x: Fill left %#x, Write loop %#x", a, got, want)
-				}
-				if before != nil && keep[0].Read(a) != before[i] {
-					t.Fatalf("word %#x: Fill wrote through to a clone", a)
-				}
-			}
-			if got, want := mems[0].Pages(), mems[1].Pages(); got != want {
-				t.Errorf("Pages: Fill %d, Write loop %d", got, want)
-			}
-			if got, want := mems[0].SharedPages(), mems[1].SharedPages(); got != want {
-				t.Errorf("SharedPages: Fill %d, Write loop %d", got, want)
-			}
-			if keep[0] != nil && keep[0].SharedPages() != keep[1].SharedPages() {
-				t.Errorf("clone's SharedPages: %d after Fill, %d after the Write loop", keep[0].SharedPages(), keep[1].SharedPages())
-			}
-		})
-	}
-}
-
 // Property: Memory behaves like a map keyed by aligned address.
 func TestMemoryMatchesMap(t *testing.T) {
 	type op struct {

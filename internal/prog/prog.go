@@ -165,14 +165,13 @@ type Program struct {
 	// CodeBase is the byte address of Code[0]; instruction i lives at
 	// CodeBase + i*isa.InstBytes.
 	CodeBase uint64
-	// InitMem seeds the data image (word-aligned byte address → value);
-	// use InitFunc for large images.
+	// InitMem seeds the data image (word-aligned byte address → value).
+	// Each word it names materializes a 4 KiB page, so it holds scalars;
+	// large structures come from Background.
 	InitMem map[uint64]uint64
-	// InitFunc, when non-nil, initializes bulk data structures (pointer
-	// chase rings, hash tables) directly into the paged memory.
-	InitFunc func(m *Memory)
 	// Background, when non-nil, supplies deterministic values for words
-	// never written (lets huge cold tables exist without storage).
+	// never written, so large structures exist without storage: hashed
+	// cold tables and tables that hold one value throughout alike.
 	Background func(addr uint64) uint64
 	// WarmRanges hints which address ranges should start resident in the
 	// cache hierarchy (steady-state image instead of an unrealistically
@@ -196,9 +195,6 @@ func (p *Program) BuildMemory() *Memory {
 	m.SetBackground(p.Background)
 	for a, v := range p.InitMem {
 		m.Write(a&^7, v)
-	}
-	if p.InitFunc != nil {
-		p.InitFunc(m)
 	}
 	return m
 }

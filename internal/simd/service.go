@@ -190,10 +190,12 @@ func traceKey(specKey string) string { return "trace-" + specKey }
 
 // Service is the batch-simulation engine: submit side (dedup, cache,
 // bounded queue), a worker pool, job-table bookkeeping, and the durable
-// store seams. All mutable state is guarded by mu; simulations run
-// outside the lock. Job lifecycle transitions are mirrored into the
-// JobStore and completed results into the ResultStore, so with the disk
-// backends a crash re-dispatches interrupted jobs and keeps the cache.
+// store seams. All mutable state is guarded by mu; simulations, and the
+// ResultStore put of each completed result, run outside the lock. The
+// JobStore records each leader's admission and its terminal outcome, so
+// with the disk backends a crash re-dispatches interrupted jobs and keeps
+// the cache. A job's start is not recorded: recovery re-dispatches queued
+// and running jobs alike.
 type Service struct {
 	cfg Config
 	st  store.Stores
@@ -273,9 +275,10 @@ func New(cfg Config) *Service {
 // recoverJobs re-admits the JobStore's surviving jobs before the workers
 // start: jobs that were queued or running when the last process died are
 // re-dispatched under their original IDs (recovery ignores QueueSize —
-// the work was already admitted once). A recovered job whose result
-// landed in the ResultStore before the crash completes immediately as a
-// cache hit.
+// the work was already admitted once). The service records no job's
+// start, but logs written by earlier binaries hold running records; those
+// jobs re-run like queued ones. A recovered job whose result landed in
+// the ResultStore before the crash completes immediately as a cache hit.
 func (s *Service) recoverJobs() {
 	recs := s.st.Jobs.Recover()
 	s.mu.Lock()
@@ -638,7 +641,6 @@ func (s *Service) worker() {
 		j.setStateLocked(StateRunning)
 		j.progress = &progressGauge{target: j.spec.MeasureInsts}
 		s.met.running++
-		s.storeSetState(j.numID, store.JobRunning, "")
 		s.mu.Unlock()
 
 		// Attach a progress gauge (and the requested trace) to a copy of
@@ -677,16 +679,21 @@ func (s *Service) worker() {
 			}
 		}
 
-		s.mu.Lock()
-		s.met.running--
 		if err == nil {
-			// Persist the result before the done record: recovery must never
-			// find a durably-done job without its result.
+			// Persist the result before finalizeLocked writes the done
+			// record, so recovery never finds a durably-done job without
+			// its result, and before taking mu, so the put's fsync stalls
+			// neither the other workers nor submits.
 			if encoded, merr := json.Marshal(m); merr != nil {
 				s.storeErrs.Add(1)
 			} else if perr := s.st.Results.Put(j.key, encoded); perr != nil {
 				s.storeErrs.Add(1)
 			}
+		}
+
+		s.mu.Lock()
+		s.met.running--
+		if err == nil {
 			s.met.simCycles += m.Cycles
 			s.met.simSkippedCycles += m.SkippedCycles
 			s.met.simInsts += m.Insts

@@ -2,9 +2,13 @@ package simd
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -293,5 +297,135 @@ func TestListFiltersByState(t *testing.T) {
 	}
 	if queued := svc.List(StateQueued); len(queued) != 0 {
 		t.Errorf("List(queued) = %+v, want empty", queued)
+	}
+}
+
+// jobLog decodes the job log under dir into one "t[:state]" entry per
+// record: "enq" for an admission, "st:done" for a state change. Frames are
+// an 8-byte header (little-endian length, then CRC) and a JSON payload.
+func jobLog(t *testing.T, dir string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "jobs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for len(data) >= 8 {
+		n := binary.LittleEndian.Uint32(data)
+		var rec struct{ T, State string }
+		if err := json.Unmarshal(data[8:8+n], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != "" {
+			rec.T += ":" + rec.State
+		}
+		out = append(out, rec.T)
+		data = data[8+n:]
+	}
+	return out
+}
+
+// TestDiskRecoversRunningRecord: logs written by binaries that recorded a
+// job's start hold a running record. Such a job re-runs under its
+// original ID, and the job queued behind it does too.
+func TestDiskRecoversRunningRecord(t *testing.T) {
+	dir := t.TempDir()
+	jobs, err := disk.OpenJobStore(filepath.Join(dir, "jobs.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specB := fastSpec()
+	specB.Predictor = fvp.PredNone
+	var ids []uint64
+	for _, spec := range []fvp.RunSpec{fastSpec(), specB} {
+		encoded, err := json.Marshal(RunRequest{RunSpec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := jobs.NextID()
+		if err := jobs.Enqueue(store.JobRecord{ID: id, Key: specKey(spec.Normalized()), Spec: encoded}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := jobs.SetState(ids[0], store.JobRunning, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := jobs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(jobLog(t, dir), " "); got != "enq enq st:running" {
+		t.Fatalf("seeded job log = %q", got)
+	}
+
+	var ran atomic.Uint64
+	svc := New(Config{Workers: 1, Stores: openDisk(t, dir), Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
+		ran.Add(1)
+		return fvp.Metrics{IPC: 2, Cycles: 100, Insts: 200}, nil
+	}})
+	defer svc.Close()
+	if got := svc.Snapshot().JobsRecovered; got != 2 {
+		t.Fatalf("recovered %d jobs, want 2", got)
+	}
+	for _, id := range ids {
+		st, err := svc.Wait(context.Background(), svc.jobID(id))
+		if err != nil || st.State != StateDone || st.Metrics == nil || st.Metrics.IPC != 2 {
+			t.Fatalf("recovered job %s = %+v, %v; want done with stub metrics", svc.jobID(id), st, err)
+		}
+	}
+	if got := ran.Load(); got != 2 {
+		t.Errorf("recovery ran %d simulations, want 2", got)
+	}
+}
+
+// TestDiskConcurrentRunsDurable: two workers finish at the same moment and
+// put their results outside the service lock, concurrently (what go test
+// -race checks here). The job log then holds each job's enqueue and done
+// records and no running record, which would cost an fsync and carry
+// nothing: recovery re-dispatches queued and running jobs alike. The next
+// process serves both specs from the cache without simulating.
+func TestDiskConcurrentRunsDurable(t *testing.T) {
+	dir := t.TempDir()
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	svc1 := New(Config{Workers: 2, Stores: openDisk(t, dir), Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
+		arrived.Done()
+		arrived.Wait() // both runs return together
+		return fvp.Metrics{IPC: 1.5, Cycles: 4, Insts: 6}, nil
+	}})
+	specB := fastSpec()
+	specB.Predictor = fvp.PredNone
+	specs := []fvp.RunSpec{fastSpec(), specB}
+	var ids []string
+	for _, spec := range specs {
+		st, err := svc1.Submit(RunRequest{RunSpec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		if done, err := svc1.Wait(context.Background(), id); err != nil || done.State != StateDone {
+			t.Fatalf("run %s: %+v, %v", id, done, err)
+		}
+	}
+	svc1.Close()
+	if got := strings.Join(jobLog(t, dir), " "); got != "enq enq st:done st:done" {
+		t.Errorf("job log = %q, want %q", got, "enq enq st:done st:done")
+	}
+
+	svc2 := New(Config{Workers: 1, Stores: openDisk(t, dir), Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
+		t.Errorf("spec %+v simulated again", spec)
+		return fvp.Metrics{}, nil
+	}})
+	defer svc2.Close()
+	for _, spec := range specs {
+		st, err := svc2.Submit(RunRequest{RunSpec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Cached || st.Metrics == nil || st.Metrics.IPC != 1.5 {
+			t.Errorf("resubmit = %+v, want a cache hit", st)
+		}
 	}
 }

@@ -10,10 +10,10 @@
 // blob archive) — so a daemon restart no longer loses queued jobs or
 // evicts the whole cache.
 //
-// The service is the only writer and serializes calls per store, so
-// backends only need to be safe for the light internal concurrency they
-// create themselves; all exported implementations are nonetheless
-// self-locking so tools and tests can use them directly.
+// The service is the only writer, and it calls each store from several
+// goroutines at once (its workers put results concurrently), so every
+// implementation must be safe for concurrent use. All exported
+// implementations are self-locking.
 package store
 
 import (
@@ -23,7 +23,9 @@ import (
 
 // Job lifecycle states as persisted by a JobStore. They mirror the
 // service's externally visible states; only JobQueued and JobRunning are
-// recoverable (a crash re-dispatches them), the rest are terminal.
+// recoverable (a crash re-dispatches them), the rest are terminal. The
+// service writes no JobRunning record, but logs written by earlier
+// binaries hold it, so recovery accepts it.
 const (
 	JobQueued   = "queued"
 	JobRunning  = "running"

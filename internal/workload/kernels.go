@@ -86,12 +86,12 @@ type Params struct {
 	// the paper's gcc behaviour in Fig 9.
 	MissShift uint
 	// WarmPtr routes the cold load's address chain through a slow,
-	// value-stable pointer-table load (the FVP target pattern); it also
-	// fills the warm region with a uniform value.
+	// value-stable pointer-table load (the FVP target pattern); the
+	// warm region then reads as a uniform value.
 	WarmPtr bool
 	// WarmPtr2 adds a second pointer-table level: two serial, slow,
 	// value-stable loads on the cold load's address chain (deeply
-	// indirect object graphs). Implies WarmPtr-style table fills.
+	// indirect object graphs). Implies a WarmPtr-style uniform table.
 	WarmPtr2 bool
 	// Spill enables a stack spill/reload of the pointer feeding the cold
 	// load (Memory-Renaming fodder).
@@ -115,9 +115,26 @@ type Params struct {
 	Unroll int
 }
 
-// background returns the deterministic value of never-written memory.
-func background(seed uint64) func(uint64) uint64 {
+// uniformTable is a kernel's warm pointer table: from warmBase, bytes
+// bytes whose words hold low below mid and high from mid on (WarmPtr2's
+// two levels; a one-level table has mid == warmBase). bytes == 0 means
+// the kernel has no table.
+type uniformTable struct {
+	bytes, mid, low, high uint64
+}
+
+// background returns the deterministic value of never-written memory:
+// the table's values inside it, an address hash everywhere else. The
+// table thus exists without pages, like the cold heap. It is one function
+// with the hash inline, since every read of a page never written calls it.
+func background(seed uint64, t uniformTable) func(uint64) uint64 {
 	return func(addr uint64) uint64 {
+		if addr-warmBase < t.bytes {
+			if addr < t.mid {
+				return t.low
+			}
+			return t.high
+		}
 		x := addr ^ seed ^ 0x517C_C1B7_2722_0A95
 		x *= 0xBF58476D1CE4E5B9
 		x ^= x >> 27
@@ -161,7 +178,6 @@ func newKernel(name string, p Params) *kernelBuilder {
 
 func (k *kernelBuilder) finish() *prog.Program {
 	p := k.MustBuild()
-	p.Background = background(k.p.Seed)
 	// cfg scalars hold small stable values used as masks/scales; they
 	// must be explicit (the background hash would make masks useless).
 	if p.InitMem == nil {
@@ -187,6 +203,7 @@ func (k *kernelBuilder) finish() *prog.Program {
 	for i := 0; i < 48; i++ {
 		p.InitMem[cfgBase+256+uint64(i)*8] = 0x1111*uint64(i) + 7
 	}
+	var tbl uniformTable
 	switch {
 	case k.p.WarmPtr2:
 		// Two-level pointer tables: the first half of the warm region
@@ -195,15 +212,13 @@ func (k *kernelBuilder) finish() *prog.Program {
 		// base-pointer value locality).
 		half := warm / 2
 		p.InitMem[cfgBase+24] = half - 1
-		p.InitFunc = func(m *prog.Memory) {
-			m.Fill(warmBase, half, half-1)
-			m.Fill(warmBase+half, warm-half, cold-1)
-		}
+		tbl = uniformTable{bytes: warm, mid: warmBase + half, low: half - 1, high: cold - 1}
 	case k.p.WarmPtr:
 		// Uniform pointer table: every word holds the cold mask
 		// (replicated base-pointer value locality).
-		p.InitFunc = func(m *prog.Memory) { m.Fill(warmBase, warm, cold-1) }
+		tbl = uniformTable{bytes: warm, mid: warmBase, high: cold - 1}
 	}
+	p.Background = background(k.p.Seed, tbl)
 	// Steady-state cache image: the warm table lives in the LLC (and L2
 	// when it fits); an LLC-sized-or-smaller "cold" region is LLC
 	// resident in steady state — only larger ones truly live in DRAM.

@@ -203,3 +203,107 @@ func TestWarmRangesPresent(t *testing.T) {
 		}
 	}
 }
+
+// refHash is the address hash finish's background returns outside the
+// warm table.
+func refHash(seed uint64) func(uint64) uint64 {
+	return func(addr uint64) uint64 {
+		x := addr ^ seed ^ 0x517C_C1B7_2722_0A95
+		x *= 0xBF58476D1CE4E5B9
+		x ^= x >> 27
+		x *= 0x94D049BB133111EB
+		x ^= x >> 31
+		return x
+	}
+}
+
+// refImage is the reference model of a kernel's initial memory image: the
+// address hash as background, InitMem written, then the uniform warm
+// tables written word by word, as finish's table writer did before the
+// tables moved into the background function.
+func refImage(p *prog.Program, kp Params) *prog.Memory {
+	m := prog.NewMemory()
+	m.SetBackground(refHash(kp.Seed))
+	for a, v := range p.InitMem {
+		m.Write(a&^7, v)
+	}
+	cold, warm := kp.ColdBytes, kp.WarmBytes
+	if cold == 0 {
+		cold = 32 << 20
+	}
+	if warm == 0 {
+		warm = 2 << 20
+	}
+	fill := func(base, bytes, v uint64) {
+		for a := base; a < base+bytes; a += 8 {
+			m.Write(a, v)
+		}
+	}
+	switch {
+	case kp.WarmPtr2:
+		half := warm / 2
+		fill(warmBase, half, half-1)
+		fill(warmBase+half, warm-half, cold-1)
+	case kp.WarmPtr:
+		fill(warmBase, warm, cold-1)
+	}
+	return m
+}
+
+// TestMemoryImageMatchesTableWriter holds every workload's BuildMemory to
+// refImage: the same word at every address of the warm region, next to
+// it, at every InitMem address and at a fixed sample elsewhere, also
+// after a store into the table materializes a page. The image itself
+// holds only the pages InitMem writes, so no table is materialized.
+func TestMemoryImageMatchesTableWriter(t *testing.T) {
+	rng := prog.NewRNG(28)
+	sample := []uint64{0, cfgBase, frameBase, streamA, streamB, streamOut, coldBase, coldBase + 32<<20 - 8}
+	for i := 0; i < 4096; i++ {
+		sample = append(sample, rng.Uint64()&(1<<32-8))
+	}
+	tables := 0
+	for i, w := range All() {
+		kp := defs[i].p
+		p := w.Build()
+		got, want := p.BuildMemory(), refImage(p, kp)
+		warm := kp.WarmBytes
+		if warm == 0 {
+			warm = 2 << 20
+		}
+		if kp.WarmPtr || kp.WarmPtr2 {
+			tables++
+		}
+		check := func(what string, a uint64) {
+			if g, r := got.Read(a), want.Read(a); g != r {
+				t.Fatalf("%s: %s word %#x reads %#x, reference %#x", w.Name, what, a, g, r)
+			}
+		}
+		for a := uint64(warmBase); a < warmBase+warm; a += 8 {
+			check("warm-region", a)
+		}
+		check("below-table", warmBase-8)
+		check("above-table", warmBase+warm)
+		pages := map[uint64]bool{}
+		for a := range p.InitMem {
+			check("InitMem", a)
+			pages[a>>12] = true
+		}
+		for _, a := range sample {
+			check("sampled", a)
+		}
+		if got.Pages() != len(pages) {
+			t.Errorf("%s: image holds %d pages, InitMem writes %d", w.Name, got.Pages(), len(pages))
+		}
+		// A store materializes its page from the background: the rest of
+		// the page must still read as the reference.
+		st := warmBase + warm/2 + 64
+		got.Write(st, 7)
+		want.Write(st, 7)
+		for a := st &^ 4095; a < st&^4095+4096; a += 8 {
+			check("materialized", a)
+		}
+	}
+	if tables != 10 {
+		t.Errorf("%d workloads have a uniform warm table, want 10", tables)
+	}
+}
