@@ -217,11 +217,10 @@ func BenchmarkExpEpochSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := newRunner(b)
 		r.Workloads = subset
-		for _, epoch := range []uint64{25_000, 400_000, 6_400_000} {
-			spec := harness.SpecFVP
-			spec.FVP.Epoch = epoch
+		epochs := []uint64{25_000, 400_000, 6_400_000}
+		for j, spec := range r.EpochArms(ooo.Skylake(), epochs) {
 			g := harness.Geomean(r.Compare(ooo.Skylake(), spec))
-			b.ReportMetric((g-1)*100, fmt.Sprintf("epoch_%d_pct", epoch))
+			b.ReportMetric((g-1)*100, fmt.Sprintf("epoch_%d_pct", epochs[j]))
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -692,6 +695,52 @@ func TestUnversionedRoutesGone(t *testing.T) {
 			if resp.StatusCode != http.StatusNotFound {
 				t.Errorf("%s: %s %s = HTTP %d, want 404", base.name, rt.method, rt.path, resp.StatusCode)
 			}
+		}
+	}
+}
+
+// TestSplitJobs checks splitJobs against json.Unmarshal into raw
+// elements, on answers whose strings hold commas, brackets, quotes and
+// backslashes, and checks that it refuses every truncation of them.
+func TestSplitJobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	alphabet := []string{",", "[", "]", "{", "}", `"`, `\`, `\"`, "a", "é", "<", "\n"}
+	for i := 0; i < 500; i++ {
+		jobs := make([]simd.JobStatus, 1+rng.Intn(4))
+		for j := range jobs {
+			var tenant, msg strings.Builder
+			for k := rng.Intn(8); k > 0; k-- {
+				tenant.WriteString(alphabet[rng.Intn(len(alphabet))])
+				msg.WriteString(alphabet[rng.Intn(len(alphabet))])
+			}
+			jobs[j] = simd.JobStatus{ID: fmt.Sprintf("b.j-%08d", j), State: simd.StateDone, Tenant: tenant.String(), Error: msg.String()}
+			if rng.Intn(2) == 0 {
+				jobs[j].Metrics = json.RawMessage(`{"ipc":1.5,"loads_by_level":[1,2,3,4]}`)
+			}
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(simd.SubmitResponse{Jobs: jobs}); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.Bytes()
+		var want struct {
+			Jobs []json.RawMessage `json:"jobs"`
+		}
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := splitJobs(body); !reflect.DeepEqual(got, want.Jobs) {
+			t.Fatalf("%s split into %q, want %q", body, got, want.Jobs)
+		}
+		for n := 1; n < len(body)-1; n++ {
+			if got := splitJobs(body[:n]); got != nil {
+				t.Fatalf("truncation %q split into %q, want nil", body[:n], got)
+			}
+		}
+	}
+	for _, body := range []string{``, `{}`, `{"jobs":null}`, `{"jobs":[1]}`, `{"jobs":[{}],"more":1}`, `{"jobs":[{"a":"}"}]}x`} {
+		if got := splitJobs([]byte(body)); got != nil {
+			t.Errorf("%q split into %q, want nil", body, got)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -15,8 +16,9 @@ import (
 // of single-spec submits through a non-owner costs the owner one HTTP
 // round trip per window instead of one per request. Wait-mode and
 // fire-and-forget traffic batch separately — their response timing
-// differs by design — hence one batcher per (peer, wait) pair.
-type fwdBatcher = coalesce.Batcher[simd.RunRequest, simd.JobStatus]
+// differs by design — hence one batcher per (peer, wait) pair. Each
+// rider gets its share of the peer's job elements, undecoded.
+type fwdBatcher = coalesce.Batcher[simd.RunRequest, json.RawMessage]
 
 // refusal carries a peer's non-2xx answer through the coalescer as an
 // error. A merged batch the peer refused as a unit (one rider's quota,
@@ -32,16 +34,16 @@ func (r *refusal) Error() string { return fmt.Sprintf("cluster: peer answered HT
 // merged round trip itself runs on the background context, because the
 // riders belong to different client connections and one hangup must not
 // cancel the rest.
-func (n *Node) forward(ctx context.Context, owner string, reqs []simd.RunRequest, wait bool) ([]simd.JobStatus, *submitOutcome, error) {
+func (n *Node) forward(ctx context.Context, owner string, reqs []simd.RunRequest, wait bool) ([]json.RawMessage, *submitOutcome, error) {
 	if window, _ := n.svc.Batching(); window <= 0 {
 		return n.forwardSubmit(ctx, n.peers[owner], reqs, wait)
 	}
-	sts, err := n.fwdFor(owner, wait).Do(ctx, reqs)
+	elems, err := n.fwdFor(owner, wait).Do(ctx, reqs)
 	var ref *refusal
 	if errors.As(err, &ref) {
 		return nil, ref.out, nil
 	}
-	return sts, nil, err
+	return elems, nil, err
 }
 
 func (n *Node) fwdFor(owner string, wait bool) *fwdBatcher {
@@ -58,12 +60,12 @@ func (n *Node) fwdFor(owner string, wait bool) *fwdBatcher {
 		b = &fwdBatcher{
 			Window: window,
 			Max:    max,
-			Submit: func(reqs []simd.RunRequest) ([]simd.JobStatus, error) {
-				sts, out, err := n.forwardSubmit(context.Background(), p, reqs, wait)
+			Submit: func(reqs []simd.RunRequest) ([]json.RawMessage, error) {
+				elems, out, err := n.forwardSubmit(context.Background(), p, reqs, wait)
 				if out != nil {
 					return nil, &refusal{out}
 				}
-				return sts, err
+				return elems, err
 			},
 			Split: func(err error) bool {
 				var ref *refusal

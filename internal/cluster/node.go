@@ -180,6 +180,16 @@ func New(cfg Config) (*Node, error) {
 	if n.clustered() {
 		n.rep = newReplicator(n, cfg.Replicas, cfg.ReplicateAfter)
 		cfg.Service.AddMetricsAppender(n.writeMetrics)
+		if cfg.Replicas > 0 {
+			// Every submit a node admits, its own or forwarded in, is demand
+			// the owner counts: hot keys are usually hot precisely because
+			// other nodes keep forwarding them here.
+			cfg.Service.ObserveKeys(func(key string) {
+				if n.ring.owner(key) == n.cfg.Self {
+					n.rep.note(key)
+				}
+			})
+		}
 	}
 	return n, nil
 }
@@ -306,31 +316,16 @@ type submitOutcome struct {
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
 	if r.Header.Get(ForwardedHeader) != "" {
 		// Hop limit: a forwarded submit executes here no matter what our
 		// ring says, so two nodes with momentarily different peer lists
 		// cannot bounce a request back and forth.
-		if n.rep != nil {
-			// Forwarded-in traffic is demand the owner must count: hot keys
-			// are usually hot precisely because other nodes keep forwarding
-			// them here.
-			if reqs, _, err := simd.ParseRuns(raw); err == nil {
-				for _, req := range reqs {
-					if flat, err := req.Flattened(); err == nil {
-						if key := simd.SpecKey(flat.RunSpec); n.ring.owner(key) == n.cfg.Self {
-							n.rep.note(key)
-						}
-					}
-				}
-			}
-		}
-		r.Body = io.NopCloser(bytes.NewReader(raw))
 		n.inner.ServeHTTP(w, r)
+		return
+	}
+	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
 	reqs, legacy, err := simd.ParseRuns(raw)
@@ -345,10 +340,12 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Group the batch by owner. Routing hashes the same spec key the
 	// service dedups on, so concurrent submits of one spec — to any
-	// node — meet at the owner and collapse to a single simulation.
+	// node — meet at the owner and collapse to a single simulation. A
+	// local group hands its keys on to admission.
 	type group struct {
 		idxs []int
 		reqs []simd.RunRequest
+		keys []string
 	}
 	groups := make(map[string]*group)
 	for i, req := range reqs {
@@ -359,9 +356,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		key := simd.SpecKey(flat.RunSpec)
 		owner := n.ring.owner(key)
-		if owner == n.cfg.Self {
-			n.rep.note(key)
-		} else if n.rep.servesLocally(key) {
+		if owner != n.cfg.Self && n.rep.servesLocally(key) {
 			// A replicated hot result lives in our own cache: serve it here,
 			// zero hops, and keep serving it if the owner is gone.
 			owner = n.cfg.Self
@@ -373,6 +368,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		g.idxs = append(g.idxs, i)
 		g.reqs = append(g.reqs, req)
+		g.keys = append(g.keys, key)
 	}
 
 	// Fan out: every owner group runs concurrently (local execution
@@ -381,8 +377,10 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// execution — availability over affinity. If any group errors, the
 	// first error response wins verbatim; jobs admitted by other groups
 	// stay admitted (a batch is not a transaction — callers that need
-	// all-or-nothing submit one group per request).
-	results := make([]simd.JobStatus, len(reqs))
+	// all-or-nothing submit one group per request). Each group fills its
+	// requests' slots with encoded job elements: an owner's as it sent
+	// them, a local group's encoded here.
+	jobs := make([]json.RawMessage, len(reqs))
 	var (
 		mu       sync.Mutex
 		firstOut *submitOutcome
@@ -396,7 +394,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		mu.Unlock()
 	}
 	runLocal := func(g *group) {
-		statuses, err := n.svc.SubmitBatched(g.reqs)
+		statuses, err := n.svc.SubmitBatched(g.reqs, g.keys)
 		if err != nil {
 			fail(submitOutcome{err: err})
 			return
@@ -407,7 +405,10 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		for i, st := range statuses {
-			results[g.idxs[i]] = st
+			if jobs[g.idxs[i]], err = json.Marshal(st); err != nil {
+				fail(submitOutcome{err: fmt.Errorf("%w: encoding job %s: %v", simd.ErrStore, st.ID, err)})
+				return
+			}
 		}
 	}
 	for owner, g := range groups {
@@ -418,7 +419,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				runLocal(g)
 				return
 			}
-			statuses, errResp, transportErr := n.forward(r.Context(), owner, g.reqs, wait)
+			elems, errResp, transportErr := n.forward(r.Context(), owner, g.reqs, wait)
 			switch {
 			case transportErr != nil:
 				if r.Context().Err() != nil {
@@ -428,8 +429,8 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			case errResp != nil:
 				fail(*errResp)
 			default:
-				for i, st := range statuses {
-					results[g.idxs[i]] = st
+				for i, el := range elems {
+					jobs[g.idxs[i]] = el
 				}
 			}
 		}(owner, g)
@@ -457,16 +458,27 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if wait {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, simd.SubmitResponse{Jobs: results})
+	// The bytes json.Encoder writes for a simd.SubmitResponse of these jobs.
+	body := []byte(`{"jobs":[`)
+	for i, job := range jobs {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, job...)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(body, "]}\n"...))
 }
 
 // forwardSubmit sends one owner group to its peer as a {"runs":[...]}
-// batch. It returns the decoded statuses on 2xx, the raw error response
-// on a non-2xx (the peer is alive; its answer — a 429 quota rejection,
-// a 503 backpressure — belongs to the client), or a transport error
-// after the breaker/retry budget is spent (the caller falls back to
+// batch. It returns the peer's job elements on 2xx, split out of its
+// {"jobs":[...]} answer undecoded, one per request; the raw error
+// response on a non-2xx (the peer is alive; its answer — a 429 quota
+// rejection, a 503 backpressure — belongs to the client); or a transport
+// error after the breaker/retry budget is spent (the caller falls back to
 // local execution).
-func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunRequest, wait bool) ([]simd.JobStatus, *submitOutcome, error) {
+func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunRequest, wait bool) ([]json.RawMessage, *submitOutcome, error) {
 	body, err := json.Marshal(struct {
 		Runs []simd.RunRequest `json:"runs"`
 	}{reqs})
@@ -501,13 +513,59 @@ func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunReques
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
 			return nil, &submitOutcome{code: resp.StatusCode, header: resp.Header, body: raw}, nil
 		}
-		var sr simd.SubmitResponse
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			return nil, nil, fmt.Errorf("cluster: peer %s returned malformed response: %w", p.id, err)
+		elems := splitJobs(raw)
+		if len(elems) != len(reqs) {
+			return nil, nil, fmt.Errorf("cluster: peer %s returned a malformed response for %d runs: %.200q", p.id, len(reqs), raw)
 		}
-		return sr.Jobs, nil, nil
+		return elems, nil, nil
 	}
 	return nil, nil, lastErr
+}
+
+// splitJobs splits a submit answer, {"jobs":[...]} as the service writes
+// it, into its job elements without decoding them: one pass that tracks
+// strings and nesting and cuts at the array's own commas. It returns nil
+// for a body of any other shape, an unclosed string or bracket, or an
+// element that is not an object.
+func splitJobs(body []byte) []json.RawMessage {
+	rest, prefixed := bytes.CutPrefix(bytes.TrimSpace(body), []byte(`{"jobs":[`))
+	rest, suffixed := bytes.CutSuffix(rest, []byte(`]}`))
+	if !prefixed || !suffixed {
+		return nil
+	}
+	var elems []json.RawMessage
+	depth, start := 0, 0
+	inString, escaped := false, false
+	for i, c := range rest {
+		switch {
+		case escaped:
+			escaped = false
+		case inString:
+			escaped = c == '\\'
+			inString = c != '"'
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			if depth--; depth < 0 {
+				return nil
+			}
+		case c == ',' && depth == 0:
+			elems = append(elems, rest[start:i])
+			start = i + 1
+		}
+	}
+	if inString || depth != 0 {
+		return nil
+	}
+	elems = append(elems, rest[start:])
+	for _, el := range elems {
+		if len(el) < 2 || el[0] != '{' || el[len(el)-1] != '}' {
+			return nil
+		}
+	}
+	return elems
 }
 
 // roundTrip performs one breaker-gated forward attempt. bounded adds
@@ -610,14 +668,10 @@ func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
 		fmt.Errorf("cluster: job owner %q unreachable: %v", node, lastErr))
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func writeJSONError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeJSONError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, struct {
+	json.NewEncoder(w).Encode(struct {
 		Error string `json:"error"`
 	}{err.Error()})
 }

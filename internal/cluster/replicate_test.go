@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fvp"
 	"fvp/internal/simd"
 )
 
@@ -173,7 +175,8 @@ func TestReplicaConsistencyUnderRace(t *testing.T) {
 					return
 				}
 				st := out.Jobs[0]
-				if st.Metrics == nil || st.Metrics.IPC != 1 {
+				var m fvp.Metrics
+				if err := json.Unmarshal(st.Metrics, &m); err != nil || m.IPC != 1 {
 					errs <- fmt.Errorf("stale or wrong replica read: %+v", st)
 				}
 			}

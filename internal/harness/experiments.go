@@ -344,14 +344,41 @@ func runEpoch(r *Runner, out io.Writer) error {
 	fmt.Fprintln(out, "§VI-C1: criticality-epoch sweep (paper: best ≈ 400k retirements; very small and very large both lose)")
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "epoch\tIPC gain")
-	for _, epoch := range []uint64{25_000, 100_000, 400_000, 1_600_000, 6_400_000} {
-		spec := SpecFVP
-		spec.FVP.Epoch = epoch
+	epochs := []uint64{25_000, 100_000, 400_000, 1_600_000, 6_400_000}
+	for i, spec := range r.EpochArms(ooo.Skylake(), epochs) {
 		pairs := r.Compare(ooo.Skylake(), spec)
-		fmt.Fprintf(w, "%d\t%s\n", epoch, pct(Geomean(pairs)))
+		fmt.Fprintf(w, "%d\t%s\n", epochs[i], pct(Geomean(pairs)))
 	}
 	w.Flush()
 	return nil
+}
+
+// EpochArms returns SpecFVP with each criticality epoch, for runs on cfg.
+// FVP counts an epoch from its own first retirement, so an epoch longer
+// than any retirement count one predictor instance reaches never fires,
+// and the rows of all such epochs are one simulation. They share one arm,
+// the default arm when its own epoch cannot fire either, so the runner
+// memoizes one suite for them.
+func (r *Runner) EpochArms(cfg ooo.Config, epochs []uint64) []Spec {
+	// A run reaches at most warmup plus measurement retirements, plus less
+	// than one retire group of overshoot for each of its two detailed
+	// RunCtx calls (the warmup or its detailed tail, then the measurement);
+	// a region of a region-parallel run reaches no more. A sampled run warms
+	// each unit by its own settings, so every epoch keeps its own arm.
+	reach := r.Opt.WarmupInsts + r.Opt.MeasureInsts + 2*uint64(cfg.RetireWidth)
+	idle := SpecFVP // the arm of every epoch that cannot fire
+	specs := make([]Spec, len(epochs))
+	for i, epoch := range epochs {
+		specs[i] = SpecFVP
+		specs[i].FVP.Epoch = epoch
+		if epoch > reach && !r.Opt.Sampling.enabled() {
+			if idle.FVP.Epoch <= reach {
+				idle = specs[i] // the default fires: the first idle epoch stands for all
+			}
+			specs[i] = idle
+		}
+	}
+	return specs
 }
 
 // runStalls prints the per-category top-down cycle accounting for the

@@ -140,3 +140,35 @@ func TestAblationReusesDefaultSuites(t *testing.T) {
 		t.Errorf("ablation did %d suite runs, want %d", r.SuiteRuns(), want)
 	}
 }
+
+// TestEpochArmsShareIdleEpochs: the rows of epochs that no predictor
+// instance can reach share one arm, the default arm when its 400k epoch
+// cannot fire either, and the first idle epoch's otherwise. An epoch that
+// can fire keeps its own arm, and so does every epoch of a sampled run.
+func TestEpochArmsShareIdleEpochs(t *testing.T) {
+	epochs := []uint64{25_000, 100_000, 400_000, 1_600_000, 6_400_000}
+	for _, tc := range []struct {
+		opt  Options
+		cfg  ooo.Config
+		want []uint64 // the epoch of each row's arm
+	}{
+		{Options{WarmupInsts: 20_000, MeasureInsts: 60_000}, ooo.Skylake(), []uint64{25_000, 400_000, 400_000, 400_000, 400_000}},
+		{Options{WarmupInsts: 60_000, MeasureInsts: 180_000}, ooo.Skylake(), []uint64{25_000, 100_000, 400_000, 400_000, 400_000}},
+		// 399,970 retirements plus two retire groups of 8 stay below 400k;
+		// Skylake-2X's groups of 16 reach it, so there 400k fires.
+		{Options{WarmupInsts: 99_970, MeasureInsts: 300_000}, ooo.Skylake(), []uint64{25_000, 100_000, 400_000, 400_000, 400_000}},
+		{Options{WarmupInsts: 99_970, MeasureInsts: 300_000}, ooo.Skylake2X(), []uint64{25_000, 100_000, 400_000, 1_600_000, 1_600_000}},
+		{Options{WarmupInsts: 20_000, MeasureInsts: 60_000, Sampling: Sampling{Units: 16}}, ooo.Skylake(), epochs},
+	} {
+		r := NewRunnerCtx(context.Background(), tc.opt)
+		got := r.EpochArms(tc.cfg, epochs)
+		for i, epoch := range tc.want {
+			want := SpecFVP
+			want.FVP.Epoch = epoch
+			if got[i] != want {
+				t.Errorf("%+v on %s: epoch %d got the arm of epoch %d, want %d",
+					tc.opt, tc.cfg.Name, epochs[i], got[i].FVP.Epoch, epoch)
+			}
+		}
+	}
+}

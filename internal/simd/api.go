@@ -11,6 +11,7 @@
 package simd
 
 import (
+	"encoding/json"
 	"errors"
 
 	"fvp"
@@ -131,8 +132,10 @@ type JobStatus struct {
 	// Progress is present while State is running (followers report their
 	// leader's progress).
 	Progress *Progress `json:"progress,omitempty"`
-	// Metrics is present once State is done.
-	Metrics *fvp.Metrics `json:"metrics,omitempty"`
+	// Metrics is present once State is done: the encoded fvp.Metrics,
+	// the bytes the service stored for the spec, which every answer
+	// writes as they are. The Go client's Run decodes them.
+	Metrics json.RawMessage `json:"metrics,omitempty"`
 	// Artifacts names the stored artifacts attached to a done job (e.g.
 	// "trace-<speckey>"); fetch via GET /v1/runs/{id}/trace.
 	Artifacts []string `json:"artifacts,omitempty"`

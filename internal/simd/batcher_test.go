@@ -40,7 +40,7 @@ func TestBatcherCoalescesConcurrentSubmits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(1000 + i))}})
+			sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(1000 + i))}}, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -86,7 +86,7 @@ func TestBatcherDrainFlushesPending(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(2000 + i))}})
+			sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(2000 + i))}}, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -138,11 +138,11 @@ func TestBatchMixedTenantQuotaIsolation(t *testing.T) {
 		_, floodErr = svc.SubmitBatched([]RunRequest{
 			{Tenant: "flood", RunSpec: batchSpec(3000)},
 			{Tenant: "flood", RunSpec: batchSpec(3001)},
-		})
+		}, nil)
 	}()
 	go func() {
 		defer wg.Done()
-		okStatuses, okErr = svc.SubmitBatched([]RunRequest{{Tenant: "ok", RunSpec: batchSpec(4000)}})
+		okStatuses, okErr = svc.SubmitBatched([]RunRequest{{Tenant: "ok", RunSpec: batchSpec(4000)}}, nil)
 	}()
 	wg.Wait()
 
@@ -180,7 +180,7 @@ func TestBatchedSubmitMatchesUnbatched(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				// Three unique specs, aliased four ways each.
-				sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(5000 + i%3))}})
+				sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(5000 + i%3))}}, nil)
 				if err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return

@@ -3,7 +3,7 @@ package simd
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"fvp"
 )
@@ -18,12 +18,26 @@ import (
 // ownership, dedup, and caching all shard on the same address.
 func SpecKey(s fvp.RunSpec) string { return specKey(s) }
 
+// specKey hashes the normalized fields joined by '|', integers in
+// decimal and the CI target as %g prints it. Durable stores and the ring
+// hold keys of this exact form, so it must not change by a byte
+// (cache_test.go keeps the fmt.Sprintf formula it was first written as).
 func specKey(s fvp.RunSpec) string {
 	n := s.Normalized()
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%s|%d|%d|%s|%d|%d|%d|%d|%g|%d|%d",
-		n.Workload, n.Machine, n.Predictor, n.WarmupInsts, n.MeasureInsts,
-		n.WarmupMode, n.Regions,
-		n.SampleUnits, n.SampleUnitInsts, n.SampleWarmupInsts,
-		n.SampleTargetCI, n.SampleMaxUnits, n.SampleSeed)))
+	var buf [192]byte
+	b := append(buf[:0], n.Workload...)
+	b = append(append(b, '|'), n.Machine...)
+	b = append(append(b, '|'), n.Predictor...)
+	b = strconv.AppendUint(append(b, '|'), n.WarmupInsts, 10)
+	b = strconv.AppendUint(append(b, '|'), n.MeasureInsts, 10)
+	b = append(append(b, '|'), n.WarmupMode...)
+	b = strconv.AppendInt(append(b, '|'), int64(n.Regions), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(n.SampleUnits), 10)
+	b = strconv.AppendUint(append(b, '|'), n.SampleUnitInsts, 10)
+	b = strconv.AppendUint(append(b, '|'), n.SampleWarmupInsts, 10)
+	b = strconv.AppendFloat(append(b, '|'), n.SampleTargetCI, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, '|'), int64(n.SampleMaxUnits), 10)
+	b = strconv.AppendUint(append(b, '|'), n.SampleSeed, 10)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }

@@ -216,7 +216,11 @@ func (c *Client) RunWith(ctx context.Context, spec fvp.RunSpec, opts SubmitOptio
 	if st.State != simd.StateDone || st.Metrics == nil {
 		return fvp.Metrics{}, fmt.Errorf("fvpd: job %s ended %s: %s", st.ID, st.State, st.Error)
 	}
-	return *st.Metrics, nil
+	var m fvp.Metrics
+	if err := json.Unmarshal(st.Metrics, &m); err != nil {
+		return fvp.Metrics{}, fmt.Errorf("fvpd: job %s: undecodable metrics: %w", st.ID, err)
+	}
+	return m, nil
 }
 
 // Get fetches one job's status.

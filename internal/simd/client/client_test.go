@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -61,7 +62,8 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil || st.State != simd.StateDone || !st.Cached {
 		t.Fatalf("poll: state=%s cached=%v err=%v", st.State, st.Cached, err)
 	}
-	if st.Metrics.IPC != m.IPC {
+	var cached fvp.Metrics
+	if err := json.Unmarshal(st.Metrics, &cached); err != nil || cached.IPC != m.IPC {
 		t.Error("cached remote metrics must match the first run")
 	}
 }

@@ -83,10 +83,7 @@ func TestHTTPSampledRun(t *testing.T) {
 	if job.Spec.SampleUnits != 8 || job.Spec.SampleUnitInsts != 1_000 {
 		t.Errorf("normalized spec lost sampling fields: %+v", job.Spec)
 	}
-	m := job.Metrics
-	if m == nil {
-		t.Fatal("done job has no metrics")
-	}
+	m := metricsOf(t, job)
 	if m.Sampling == nil {
 		t.Fatal("sampled run returned no sampling block")
 	}
@@ -111,7 +108,7 @@ func TestHTTPSampledRun(t *testing.T) {
 	if out2.Jobs[0].Cached {
 		t.Error("full-detail run was served from the sampled run's cache entry")
 	}
-	if out2.Jobs[0].Metrics.Sampling != nil {
+	if metricsOf(t, out2.Jobs[0]).Sampling != nil {
 		t.Error("full-detail run grew a sampling block")
 	}
 }

@@ -110,18 +110,25 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // request spells its sampling plan with the deprecated flat sample_*
 // fields instead of the nested "sampling" block, so callers can signal
 // deprecation on the response.
+//
+// One decode reads both forms. A body it cannot read, such as a "runs"
+// of the wrong type beside valid spec fields, is read again as first the
+// envelope and then a single spec, so every body keeps the meaning and
+// the error that those two decodes alone give it.
 func ParseRuns(raw []byte) (reqs []RunRequest, legacy bool, err error) {
-	var batch struct {
+	var body struct {
 		Runs []RunRequest `json:"runs"`
+		RunRequest
 	}
-	if err := json.Unmarshal(raw, &batch); err == nil && batch.Runs != nil {
-		reqs = batch.Runs
-	} else {
-		var one RunRequest
-		if err := json.Unmarshal(raw, &one); err != nil {
-			return nil, false, errors.New("simd: body must be a run spec or {\"runs\":[...]}")
+	switch {
+	case json.Unmarshal(raw, &body) != nil:
+		if reqs, err = parseRunsTwoPass(raw); err != nil {
+			return nil, false, err
 		}
-		reqs = []RunRequest{one}
+	case body.Runs != nil:
+		reqs = body.Runs
+	default:
+		reqs = []RunRequest{body.RunRequest}
 	}
 	for _, r := range reqs {
 		if r.Sampling == nil && r.flatSampling() {
@@ -130,6 +137,22 @@ func ParseRuns(raw []byte) (reqs []RunRequest, legacy bool, err error) {
 		}
 	}
 	return reqs, legacy, nil
+}
+
+// parseRunsTwoPass reads a body that ParseRuns' single decode could not:
+// as the envelope if that decodes with "runs" set, else as one spec.
+func parseRunsTwoPass(raw []byte) ([]RunRequest, error) {
+	var batch struct {
+		Runs []RunRequest `json:"runs"`
+	}
+	if err := json.Unmarshal(raw, &batch); err == nil && batch.Runs != nil {
+		return batch.Runs, nil
+	}
+	var one RunRequest
+	if err := json.Unmarshal(raw, &one); err != nil {
+		return nil, errors.New("simd: body must be a run spec or {\"runs\":[...]}")
+	}
+	return []RunRequest{one}, nil
 }
 
 // MarkSamplingDeprecated stamps the RFC 8594-style deprecation signal
@@ -198,7 +221,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if legacy {
 		MarkSamplingDeprecated(w.Header())
 	}
-	statuses, err := s.SubmitBatched(reqs)
+	statuses, err := s.SubmitBatched(reqs, nil)
 	if err != nil {
 		WriteSubmitError(w, err)
 		return

@@ -77,8 +77,8 @@ func TestHTTPBatchSubmitReportsCacheHits(t *testing.T) {
 	}
 	cached := 0
 	for _, j := range out.Jobs {
-		if j.State != StateDone || j.Metrics == nil || j.Metrics.IPC <= 0 {
-			t.Fatalf("job %s: state=%s metrics=%v", j.ID, j.State, j.Metrics)
+		if j.State != StateDone || metricsOf(t, j).IPC <= 0 {
+			t.Fatalf("job %s: state=%s metrics=%s", j.ID, j.State, j.Metrics)
 		}
 		if j.Cached {
 			cached++
@@ -116,7 +116,7 @@ func TestHTTPAsyncSubmitAndPoll(t *testing.T) {
 		json.NewDecoder(r.Body).Decode(&st)
 		r.Body.Close()
 		if st.State == StateDone {
-			if st.Metrics == nil || st.Metrics.Insts == 0 {
+			if metricsOf(t, st).Insts == 0 {
 				t.Fatalf("done job missing metrics: %+v", st)
 			}
 			break

@@ -143,7 +143,7 @@ type job struct {
 	trace     bool        // leader-only: record a pipeline-trace artifact
 	state     State
 	cached    bool
-	result    *fvp.Metrics
+	result    json.RawMessage // the encoded fvp.Metrics, as the ResultStore holds it
 	err       error
 	done      chan struct{}
 	retained  bool
@@ -211,7 +211,13 @@ type Service struct {
 	recovered uint64 // jobs re-dispatched from the JobStore at boot
 
 	// batch is the edge micro-batcher; nil unless Config.BatchWindow > 0.
-	batch *coalesce.Batcher[RunRequest, JobStatus]
+	batch *coalesce.Batcher[keyed, JobStatus]
+	// checked holds the spec keys whose stored result this process wrote
+	// or has decoded once (see cachedResultLocked).
+	checked map[string]struct{}
+	// observeKey, if set, sees the spec key of every request that reaches
+	// SubmitBatched (see ObserveKeys).
+	observeKey func(key string)
 	// batchSizes is fvpd_batch_size: requests coalesced per flush. A p50
 	// near 1 means the window is not seeing concurrency; widen it or stop
 	// paying the parking latency.
@@ -250,6 +256,7 @@ func New(cfg Config) *Service {
 		tq:       newTenants(cfg.Tenants),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
+		checked:  make(map[string]struct{}),
 		baseCtx:  ctx,
 		stop:     cancel,
 	}
@@ -257,10 +264,10 @@ func New(cfg Config) *Service {
 	s.reqHist = telemetry.NewVec(telemetry.NewLatency)
 	if cfg.BatchWindow > 0 {
 		s.batchSizes = telemetry.NewSizes()
-		s.batch = &coalesce.Batcher[RunRequest, JobStatus]{
+		s.batch = &coalesce.Batcher[keyed, JobStatus]{
 			Window:  cfg.BatchWindow,
 			Max:     cfg.BatchMax,
-			Submit:  s.SubmitBatch,
+			Submit:  s.submitKeyed,
 			OnFlush: func(n int) { s.batchSizes.Observe(float64(n)) },
 		}
 	}
@@ -309,7 +316,8 @@ func (s *Service) recoverJobs() {
 		s.jobs[j.id] = j
 		s.recovered++
 
-		if s.finishCachedLocked(j) {
+		if result, ok := s.cachedResultLocked(rec.Key); ok {
+			s.finishCachedLocked(j, result)
 			s.storeSetState(rec.ID, store.JobDone, "")
 		} else if leader := s.inflight[rec.Key]; leader != nil {
 			s.attachFollowerLocked(j, leader)
@@ -334,25 +342,74 @@ func (s *Service) Submit(req RunRequest) (JobStatus, error) {
 
 // SubmitBatched routes one caller's requests through the edge
 // micro-batcher when one is configured (Config.BatchWindow > 0) and
-// directly to SubmitBatch otherwise. Concurrent callers within one window
-// share a single SubmitBatch — one admission pass, one tenant-quota
-// transaction, one durable JobStore append (one fsync on the disk
-// backend). Coalesced callers keep their individual semantics — a
-// rejection that only applies to the merged batch (another caller's
-// quota, a stranger's validation error) degrades to per-caller submits
-// rather than poisoning everyone in the window. The HTTP submit path and
-// the cluster router's local groups use this entry point.
-func (s *Service) SubmitBatched(reqs []RunRequest) ([]JobStatus, error) {
-	if s.batch == nil || len(reqs) == 0 {
-		return s.SubmitBatch(reqs)
+// straight to admission otherwise. Concurrent callers within one window
+// share a single admission — one pass, one tenant-quota transaction, one
+// durable JobStore append (one fsync on the disk backend). Coalesced
+// callers keep their individual semantics — a rejection that only
+// applies to the merged batch (another caller's quota) degrades to
+// per-caller submits rather than poisoning everyone in the window; each
+// caller's requests are validated before they join it. The HTTP submit
+// path and the cluster router's local groups use this entry point. keys,
+// when not nil, holds each request's SpecKey, which the cluster router
+// computed to route it; nil keys are computed here.
+func (s *Service) SubmitBatched(reqs []RunRequest, keys []string) ([]JobStatus, error) {
+	ks, err := keyRequests(reqs, keys)
+	if err != nil {
+		return nil, err
 	}
-	return s.batch.Do(context.Background(), reqs)
+	if s.observeKey != nil {
+		for _, k := range ks {
+			s.observeKey(k.key)
+		}
+	}
+	if s.batch == nil {
+		return s.submitKeyed(ks)
+	}
+	return s.batch.Do(context.Background(), ks)
 }
+
+// ObserveKeys registers fn to see the spec key of every request that
+// reaches SubmitBatched, before its admission; the cluster router counts
+// the demand for the keys its node owns with it. Call it before the
+// service takes submits.
+func (s *Service) ObserveKeys(fn func(key string)) { s.observeKey = fn }
 
 // Batching reports the coalescing window and size cap (Config.BatchWindow
 // and BatchMax); a zero window means coalescing is off.
 func (s *Service) Batching() (window time.Duration, max int) {
 	return s.cfg.BatchWindow, s.cfg.BatchMax
+}
+
+// keyed is a flattened, validated request and its spec key: the form
+// admission and the edge micro-batcher take, built once per request.
+type keyed struct {
+	req RunRequest
+	key string
+}
+
+// keyRequests flattens and validates each request and pairs it with its
+// spec key, taken from keys when the caller already computed them.
+func keyRequests(reqs []RunRequest, keys []string) ([]keyed, error) {
+	if len(reqs) == 0 {
+		return nil, errors.New("simd: empty batch")
+	}
+	ks := make([]keyed, len(reqs))
+	for i, r := range reqs {
+		flat, err := r.Flattened()
+		if err != nil {
+			return nil, err
+		}
+		if err := fvp.Validate(flat.RunSpec); err != nil {
+			return nil, err
+		}
+		ks[i].req = flat
+		if keys != nil {
+			ks[i].key = keys[i]
+		} else {
+			ks[i].key = specKey(flat.RunSpec)
+		}
+	}
+	return ks, nil
 }
 
 // SubmitBatch submits a batch atomically with respect to queue capacity,
@@ -366,40 +423,46 @@ func (s *Service) Batching() (window time.Duration, max int) {
 // the micro-batcher coalesced. Validation errors also reject the whole
 // batch.
 func (s *Service) SubmitBatch(reqs []RunRequest) ([]JobStatus, error) {
-	if len(reqs) == 0 {
-		return nil, errors.New("simd: empty batch")
+	ks, err := keyRequests(reqs, nil)
+	if err != nil {
+		return nil, err
 	}
-	reqs = append([]RunRequest(nil), reqs...)
-	for i, r := range reqs {
-		flat, err := r.Flattened()
-		if err != nil {
-			return nil, err
-		}
-		reqs[i] = flat
-		if err := fvp.Validate(flat.RunSpec); err != nil {
-			return nil, err
-		}
-	}
+	return s.submitKeyed(ks)
+}
 
+// submitKeyed is SubmitBatch's admission of keyed requests.
+func (s *Service) submitKeyed(ks []keyed) ([]JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
 
-	// Capacity pre-check: count the batch's new unique leaders, per
-	// tenant, so the admit decision is all-or-nothing.
-	need := 0
-	seen := make(map[string]bool)
+	// Classify every request once, in submission order: served from the
+	// result store (its one lookup), attached to a leader already in
+	// flight or earlier in this batch, or a fresh leader. The fresh
+	// leaders, counted per tenant, make the admit decision all-or-nothing.
+	const (
+		kCached   = iota // result already in the cache
+		kLeader          // fresh unique spec: needs a durable record
+		kFollower        // attaches to a leader in flight or earlier in the batch
+	)
+	kinds := make([]int, len(ks))
+	results := make([]json.RawMessage, len(ks))
+	leaders := make(map[string]bool)
 	perTenant := make(map[string]int)
-	for _, r := range reqs {
-		key := specKey(r.RunSpec)
-		if s.st.Results.Has(key) || s.inflight[key] != nil || seen[key] {
-			continue
+	need := 0
+	for i, k := range ks {
+		if result, ok := s.cachedResultLocked(k.key); ok {
+			kinds[i], results[i] = kCached, result
+		} else if s.inflight[k.key] != nil || leaders[k.key] {
+			kinds[i] = kFollower
+		} else {
+			kinds[i] = kLeader
+			leaders[k.key] = true
+			need++
+			perTenant[k.req.Tenant]++
 		}
-		seen[key] = true
-		need++
-		perTenant[r.Tenant]++
 	}
 	if err := s.admitTenantsLocked(perTenant); err != nil {
 		return nil, err
@@ -416,97 +479,47 @@ func (s *Service) SubmitBatch(reqs []RunRequest) ([]JobStatus, error) {
 		return nil, ErrQueueFull
 	}
 
-	// Phase 1: classify every request in submission order, allocating its
-	// job number as it is classified so IDs keep their pre-batch sequence,
-	// and marshal the fresh leaders' durable records. Nothing is visible
-	// yet — a store refusal below rejects the whole batch cleanly.
-	const (
-		kCached   = iota // result already in the cache
-		kLeader          // fresh unique spec: needs a durable record
-		kFollower        // attaches to a leader already in flight
-		kDup             // duplicate of a leader earlier in this batch
-	)
-	type admission struct {
-		kind  int
-		numID uint64
-		key   string
-		spec  fvp.RunSpec
-	}
-	adm := make([]admission, len(reqs))
-	pending := make(map[string]bool)
+	// Allocate job numbers in submission order, so IDs keep their
+	// pre-batch sequence, and marshal the fresh leaders' durable records.
+	// One append covers them all — the single fsync that makes coalesced
+	// admission cheap. On failure nothing was admitted: no job is visible
+	// yet.
+	nums := make([]uint64, len(ks))
 	var records []store.JobRecord
-	for i, r := range reqs {
-		spec := r.RunSpec.Normalized()
-		key := specKey(spec)
-		a := admission{numID: s.st.Jobs.NextID(), key: key, spec: spec}
-		switch {
-		case s.st.Results.Has(key):
-			a.kind = kCached
-		case s.inflight[key] != nil:
-			a.kind = kFollower
-		case pending[key]:
-			a.kind = kDup
-		default:
-			a.kind = kLeader
-			pending[key] = true
-			encoded, err := json.Marshal(r)
-			if err != nil {
-				refund()
-				return nil, fmt.Errorf("%w: encoding spec: %v", ErrStore, err)
-			}
-			records = append(records, store.JobRecord{ID: a.numID, Key: key, Tenant: r.Tenant, Spec: encoded})
+	for i, k := range ks {
+		nums[i] = s.st.Jobs.NextID()
+		if kinds[i] != kLeader {
+			continue
 		}
-		adm[i] = a
+		encoded, err := json.Marshal(k.req)
+		if err != nil {
+			refund()
+			return nil, fmt.Errorf("%w: encoding spec: %v", ErrStore, err)
+		}
+		records = append(records, store.JobRecord{ID: nums[i], Key: k.key, Tenant: k.req.Tenant, Spec: encoded})
 	}
-
-	// Phase 2: one durable append covers every fresh leader in the batch —
-	// the single fsync that makes coalesced admission cheap. On failure
-	// nothing was admitted.
 	if err := s.st.Jobs.AppendBatch(records); err != nil {
 		refund()
 		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
 
-	// Phase 3: materialize the jobs in order. A batch-internal duplicate
-	// resolves as a follower because its leader — an earlier index — is in
+	// Materialize the jobs in order. A batch-internal duplicate resolves
+	// as a follower because its leader — an earlier index — is in
 	// s.inflight by the time it is reached.
-	out := make([]JobStatus, len(reqs))
-	for i, r := range reqs {
-		a := adm[i]
+	out := make([]JobStatus, len(ks))
+	for i, k := range ks {
 		j := &job{
-			id: s.jobID(a.numID), numID: a.numID, key: a.key, spec: a.spec,
-			tenant: r.Tenant, trace: r.Trace, done: make(chan struct{}),
+			id: s.jobID(nums[i]), numID: nums[i], key: k.key, spec: k.req.RunSpec.Normalized(),
+			tenant: k.req.Tenant, trace: k.req.Trace, done: make(chan struct{}),
 		}
-		switch a.kind {
+		switch kinds[i] {
+		case kCached:
+			s.finishCachedLocked(j, results[i])
 		case kLeader:
 			s.jobs[j.id] = j
-			s.startLeaderLocked(j, r.TimeoutMS)
-		case kFollower, kDup:
-			s.attachFollowerLocked(j, s.inflight[a.key])
-		case kCached:
-			if s.finishCachedLocked(j) {
-				break
-			}
-			// Has said yes but the record would not decode (version skew in
-			// a persistent store) or was evicted since classification. Fall
-			// back to the pre-batch behavior for this corner: attach to a
-			// same-key leader degraded earlier in this loop, or become a
-			// singly-appended leader. Tokens were never charged for it —
-			// exactly as before the batch refactor.
-			if leader := s.inflight[a.key]; leader != nil {
-				s.attachFollowerLocked(j, leader)
-				break
-			}
-			encoded, err := json.Marshal(r)
-			if err == nil {
-				err = s.st.Jobs.Enqueue(store.JobRecord{ID: a.numID, Key: a.key, Tenant: r.Tenant, Spec: encoded})
-			}
-			if err != nil {
-				s.cond.Broadcast()
-				return nil, fmt.Errorf("%w: %v", ErrStore, err)
-			}
-			s.jobs[j.id] = j
-			s.startLeaderLocked(j, r.TimeoutMS)
+			s.startLeaderLocked(j, k.req.TimeoutMS)
+		case kFollower:
+			s.attachFollowerLocked(j, s.inflight[k.key])
 		}
 		// A submit counts a cache hit exactly when it is served cached; a
 		// recovered job counts neither.
@@ -533,22 +546,16 @@ func (s *Service) attachFollowerLocked(j, leader *job) {
 	s.tq.get(j.tenant).inflight++
 }
 
-// finishCachedLocked completes j from the result cache and reports
-// whether its result was there.
-func (s *Service) finishCachedLocked(j *job) bool {
-	m, ok := s.cachedMetricsLocked(j.key)
-	if !ok {
-		return false
-	}
+// finishCachedLocked completes j from its spec's cached result.
+func (s *Service) finishCachedLocked(j *job, result json.RawMessage) {
 	s.jobs[j.id] = j
 	j.state = StateDone
 	j.cached = true
-	j.result = m
+	j.result = result
 	j.artifacts = s.artifactsLocked(j.key)
 	s.met.done++
 	close(j.done)
 	s.retainLocked(j)
-	return true
 }
 
 // admitTenantsLocked charges each tenant's token bucket for its share of
@@ -591,20 +598,36 @@ func (s *Service) startLeaderLocked(j *job, timeoutMS int64) {
 	s.tq.enqueue(j)
 }
 
-// cachedMetricsLocked fetches and decodes a cached result. A record that
-// fails to decode (version skew in a persistent store) is treated as a
-// miss rather than served corrupt.
-func (s *Service) cachedMetricsLocked(key string) (*fvp.Metrics, bool) {
+// cachedResultLocked fetches a cached result as the bytes the store
+// holds. A record that does not decode as fvp.Metrics (version skew in a
+// persistent store) is treated as a miss rather than served corrupt.
+// Results are immutable per key, so a record is decoded at most once: the
+// first time this process serves its key, unless this process wrote it.
+func (s *Service) cachedResultLocked(key string) (json.RawMessage, bool) {
 	b, ok := s.st.Results.Get(key)
 	if !ok {
 		return nil, false
 	}
-	var m fvp.Metrics
-	if err := json.Unmarshal(b, &m); err != nil {
-		s.storeErrs.Add(1)
-		return nil, false
+	if _, ok := s.checked[key]; !ok {
+		var m fvp.Metrics
+		if err := json.Unmarshal(b, &m); err != nil {
+			s.storeErrs.Add(1)
+			return nil, false
+		}
+		s.markCheckedLocked(key)
 	}
-	return &m, true
+	return b, true
+}
+
+// markCheckedLocked records that key's stored result decodes. Keys the
+// store has since evicted stay in the set, so once it outgrows the store
+// twice over it starts afresh, and a live key decodes once more on its
+// next hit.
+func (s *Service) markCheckedLocked(key string) {
+	if len(s.checked) > 2*s.st.Results.Len()+DefaultCacheSize {
+		clear(s.checked)
+	}
+	s.checked[key] = struct{}{}
 }
 
 // artifactsLocked lists the blob keys published for a spec key.
@@ -679,19 +702,28 @@ func (s *Service) worker() {
 			}
 		}
 
+		var result []byte
+		stored := false
 		if err == nil {
-			// Persist the result before finalizeLocked writes the done
-			// record, so recovery never finds a durably-done job without
-			// its result, and before taking mu, so the put's fsync stalls
-			// neither the other workers nor submits.
-			if encoded, merr := json.Marshal(m); merr != nil {
+			// Encode the result once: the ResultStore keeps these bytes and
+			// every answer about the job writes them. Persist them before
+			// finalizeLocked writes the done record, so recovery never finds
+			// a durably-done job without its result, and before taking mu,
+			// so the put's fsync stalls neither the other workers nor
+			// submits.
+			if result, err = json.Marshal(m); err != nil {
+				err = fmt.Errorf("simd: encoding result: %w", err)
+			} else if perr := s.st.Results.Put(j.key, result); perr != nil {
 				s.storeErrs.Add(1)
-			} else if perr := s.st.Results.Put(j.key, encoded); perr != nil {
-				s.storeErrs.Add(1)
+			} else {
+				stored = true
 			}
 		}
 
 		s.mu.Lock()
+		if stored { // bytes this process encoded need no decode when served
+			s.markCheckedLocked(j.key)
+		}
 		s.met.running--
 		if err == nil {
 			s.met.simCycles += m.Cycles
@@ -703,7 +735,7 @@ func (s *Service) worker() {
 			}
 			s.met.simSeconds += elapsed.Seconds()
 		}
-		s.finalizeLocked(j, m, err)
+		s.finalizeLocked(j, result, err)
 		s.mu.Unlock()
 	}
 }
@@ -723,7 +755,7 @@ func (j *job) setStateLocked(st State) {
 // finalizeLocked completes a leader and all its followers from one
 // execution outcome, releasing the in-flight slot and the ctx timer, and
 // mirrors the outcome into the JobStore.
-func (s *Service) finalizeLocked(j *job, m fvp.Metrics, err error) {
+func (s *Service) finalizeLocked(j *job, result json.RawMessage, err error) {
 	delete(s.inflight, j.key)
 	j.cancel()
 
@@ -748,7 +780,7 @@ func (s *Service) finalizeLocked(j *job, m fvp.Metrics, err error) {
 		switch {
 		case err == nil:
 			target.state = StateDone
-			target.result = &m
+			target.result = result
 			target.artifacts = s.artifactsLocked(j.key)
 			s.met.done++
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -822,7 +854,7 @@ func (s *Service) Cancel(id string) bool {
 	// running one exits at the cycle loop's next context poll.
 	leader.cancel()
 	if s.tq.remove(leader) {
-		s.finalizeLocked(leader, fvp.Metrics{}, context.Canceled)
+		s.finalizeLocked(leader, nil, context.Canceled)
 	}
 	return true
 }
@@ -984,6 +1016,7 @@ func (s *Service) PutCachedResult(key string, value []byte) error {
 		s.storeErrs.Add(1)
 		return fmt.Errorf("%w: %v", ErrStore, err)
 	}
+	s.markCheckedLocked(key)
 	return nil
 }
 

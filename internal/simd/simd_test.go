@@ -2,6 +2,7 @@ package simd
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,16 @@ import (
 // fastSpec is a real simulation kept short enough for unit tests.
 func fastSpec() fvp.RunSpec {
 	return fvp.RunSpec{Workload: "omnetpp", Predictor: fvp.PredFVP, WarmupInsts: 1_000, MeasureInsts: 2_000}
+}
+
+// metricsOf decodes a done job's result, failing the test when it has none.
+func metricsOf(t testing.TB, st JobStatus) fvp.Metrics {
+	t.Helper()
+	var m fvp.Metrics
+	if err := json.Unmarshal(st.Metrics, &m); err != nil {
+		t.Fatalf("job %s (%s): metrics %q: %v", st.ID, st.State, st.Metrics, err)
+	}
+	return m
 }
 
 func TestSpecKeyNormalization(t *testing.T) {
@@ -54,10 +65,10 @@ func TestSubmitServesSecondFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.State != StateDone || !second.Cached || second.Metrics == nil {
+	if second.State != StateDone || !second.Cached {
 		t.Fatalf("second run should be served from cache at submit time, got %+v", second)
 	}
-	if second.Metrics.IPC != st.Metrics.IPC {
+	if metricsOf(t, second).IPC != metricsOf(t, st).IPC {
 		t.Error("cached metrics must match the simulated result")
 	}
 	snap := svc.Snapshot()
@@ -107,8 +118,8 @@ func TestSingleFlightDedup(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("submit %d: %v", i, errs[i])
 		}
-		if statuses[i].State != StateDone || statuses[i].Metrics == nil || statuses[i].Metrics.IPC != 2.5 {
-			t.Fatalf("submit %d: state=%s metrics=%v", i, statuses[i].State, statuses[i].Metrics)
+		if statuses[i].State != StateDone || metricsOf(t, statuses[i]).IPC != 2.5 {
+			t.Fatalf("submit %d: state=%s metrics=%s", i, statuses[i].State, statuses[i].Metrics)
 		}
 	}
 	if got := sims.Load(); got != 1 {
@@ -236,7 +247,7 @@ func TestCancelFollowerKeepsLeader(t *testing.T) {
 	}
 	close(release)
 	st, err := svc.Wait(context.Background(), leader.ID)
-	if err != nil || st.State != StateDone || st.Metrics.IPC != 9 {
+	if err != nil || st.State != StateDone || metricsOf(t, st).IPC != 9 {
 		t.Errorf("leader must still finish: state=%s err=%v", st.State, err)
 	}
 	if fst, _ := svc.Get(follower.ID); fst.State != StateCanceled {

@@ -82,7 +82,7 @@ func TestDiskRestartRedispatchesJobs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
-		if st.State != StateDone || st.Metrics == nil || st.Metrics.IPC != 2 {
+		if st.State != StateDone || metricsOf(t, st).IPC != 2 {
 			t.Fatalf("recovered job %s = %+v, want done with stub metrics", id, st)
 		}
 	}
@@ -197,11 +197,11 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Cached || second.State != StateDone || second.Metrics == nil {
+	if !second.Cached || second.State != StateDone {
 		t.Fatalf("post-restart submit = %+v, want immediate cache hit", second)
 	}
-	if second.Metrics.IPC != 1.25 {
-		t.Errorf("cached IPC = %v, want the pre-restart result", second.Metrics.IPC)
+	if ipc := metricsOf(t, second).IPC; ipc != 1.25 {
+		t.Errorf("cached IPC = %v, want the pre-restart result", ipc)
 	}
 	if got := ran.Load(); got != 1 {
 		t.Errorf("simulation ran %d times across the restart, want 1", got)
@@ -230,8 +230,7 @@ func TestMemoryBackendMatchesDefault(t *testing.T) {
 	// The byte figure is exactly key + encoded result.
 	key := specKey(fastSpec())
 	final, _ := svc.Get(st.ID)
-	encoded, _ := json.Marshal(*final.Metrics)
-	if want := int64(len(key) + len(encoded)); snap.CacheBytes != want {
+	if want := int64(len(key) + len(final.Metrics)); snap.CacheBytes != want {
 		t.Errorf("CacheBytes = %d, want %d (len(key)+len(encoded result))", snap.CacheBytes, want)
 	}
 }
@@ -369,7 +368,7 @@ func TestDiskRecoversRunningRecord(t *testing.T) {
 	}
 	for _, id := range ids {
 		st, err := svc.Wait(context.Background(), svc.jobID(id))
-		if err != nil || st.State != StateDone || st.Metrics == nil || st.Metrics.IPC != 2 {
+		if err != nil || st.State != StateDone || metricsOf(t, st).IPC != 2 {
 			t.Fatalf("recovered job %s = %+v, %v; want done with stub metrics", svc.jobID(id), st, err)
 		}
 	}
@@ -424,7 +423,7 @@ func TestDiskConcurrentRunsDurable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Cached || st.Metrics == nil || st.Metrics.IPC != 1.5 {
+		if !st.Cached || metricsOf(t, st).IPC != 1.5 {
 			t.Errorf("resubmit = %+v, want a cache hit", st)
 		}
 	}

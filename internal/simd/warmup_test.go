@@ -85,10 +85,7 @@ func TestHTTPFunctionalRunReportsFFWork(t *testing.T) {
 	if job.Spec.WarmupMode != "functional" || job.Spec.Regions != 2 {
 		t.Errorf("normalized spec lost warmup fields: %+v", job.Spec)
 	}
-	m := job.Metrics
-	if m == nil {
-		t.Fatal("done job has no metrics")
-	}
+	m := metricsOf(t, job)
 	if m.WarmupMode != "functional" {
 		t.Errorf("metrics WarmupMode = %q, want functional", m.WarmupMode)
 	}
