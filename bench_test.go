@@ -539,21 +539,25 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 	spec := fvp.RunSpec{Workload: "omnetpp", Predictor: fvp.PredFVP,
 		WarmupInsts: 20_000, MeasureInsts: 50_000}
 
-	prime, err := svc.Submit(simd.RunRequest{RunSpec: spec})
-	if err != nil {
-		b.Fatal(err)
+	submit := func() simd.JobStatus {
+		ks, err := simd.KeyRuns([]simd.RunRequest{{RunSpec: spec}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sts, err := svc.Submit(ks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sts[0]
 	}
+	prime := submit()
 	if st, err := svc.Wait(context.Background(), prime.ID); err != nil || st.State != simd.StateDone {
 		b.Fatalf("priming run: state=%s err=%v", st.State, err)
 	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := svc.Submit(simd.RunRequest{RunSpec: spec})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.State != simd.StateDone || !st.Cached || st.Metrics == nil {
+		if st := submit(); st.State != simd.StateDone || !st.Cached || st.Metrics == nil {
 			b.Fatalf("submit %d not served from cache: %+v", i, st)
 		}
 	}

@@ -179,7 +179,7 @@ func main() {
 		}
 		c := client.New(*server)
 		run = func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
-			return c.RunWith(ctx, spec, client.SubmitOptions{Tenant: *tenant})
+			return c.Run(ctx, spec, *tenant)
 		}
 	}
 

@@ -1,15 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -699,48 +696,46 @@ func TestUnversionedRoutesGone(t *testing.T) {
 	}
 }
 
-// TestSplitJobs checks splitJobs against json.Unmarshal into raw
-// elements, on answers whose strings hold commas, brackets, quotes and
-// backslashes, and checks that it refuses every truncation of them.
-func TestSplitJobs(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	alphabet := []string{",", "[", "]", "{", "}", `"`, `\`, `\"`, "a", "é", "<", "\n"}
-	for i := 0; i < 500; i++ {
-		jobs := make([]simd.JobStatus, 1+rng.Intn(4))
-		for j := range jobs {
-			var tenant, msg strings.Builder
-			for k := rng.Intn(8); k > 0; k-- {
-				tenant.WriteString(alphabet[rng.Intn(len(alphabet))])
-				msg.WriteString(alphabet[rng.Intn(len(alphabet))])
-			}
-			jobs[j] = simd.JobStatus{ID: fmt.Sprintf("b.j-%08d", j), State: simd.StateDone, Tenant: tenant.String(), Error: msg.String()}
-			if rng.Intn(2) == 0 {
-				jobs[j].Metrics = json.RawMessage(`{"ipc":1.5,"loads_by_level":[1,2,3,4]}`)
-			}
-		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(simd.SubmitResponse{Jobs: jobs}); err != nil {
-			t.Fatal(err)
-		}
-		body := buf.Bytes()
-		var want struct {
-			Jobs []json.RawMessage `json:"jobs"`
-		}
-		if err := json.Unmarshal(body, &want); err != nil {
-			t.Fatal(err)
-		}
-		if got := splitJobs(body); !reflect.DeepEqual(got, want.Jobs) {
-			t.Fatalf("%s split into %q, want %q", body, got, want.Jobs)
-		}
-		for n := 1; n < len(body)-1; n++ {
-			if got := splitJobs(body[:n]); got != nil {
-				t.Fatalf("truncation %q split into %q, want nil", body[:n], got)
-			}
+// TestInvalidBatchAdmitsNothing: a cluster node keys a whole batch
+// before it routes any of it, so a batch that holds a valid spec owned
+// by a peer and an unknown workload the entry node would own by its key
+// gets the single node's answer, 400 with the same body, in wait and
+// async mode, and no node admits or runs anything.
+func TestInvalidBatchAdmitsNothing(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	entry, peer := tc.ids[0], tc.ids[1]
+	remote := 30000
+	for tc.nodes[entry].Owner(simd.SpecKey(specFor(remote))) != peer {
+		remote++
+	}
+	bad := fvp.RunSpec{Workload: "omnetp", Predictor: "fvp", WarmupInsts: 100, MeasureInsts: 30000}
+	for tc.nodes[entry].Owner(simd.SpecKey(bad)) != entry {
+		bad.MeasureInsts++
+	}
+	body := fmt.Sprintf(`{"runs":[%s,{"workload":"omnetp","predictor":"fvp","warmup_insts":100,"measure_insts":%d}]}`,
+		specBody(remote, ""), bad.MeasureInsts)
+
+	single := simd.New(simd.Config{Workers: 1, Run: func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
+		return fvp.Metrics{IPC: 1}, nil
+	}})
+	defer single.Close()
+	srv := httptest.NewServer(single.Handler())
+	defer srv.Close()
+	want := answerOf(t, "POST", srv.URL+"/v1/runs?wait=1", body)
+	if !strings.HasPrefix(want, "400 application/json\n") || !strings.Contains(want, `did you mean \"omnetpp\"`) {
+		t.Fatalf("single node answered %q", want)
+	}
+	for _, path := range []string{"/v1/runs?wait=1", "/v1/runs"} {
+		if got := answerOf(t, "POST", tc.srvs[entry].URL+path, body); got != want {
+			t.Errorf("cluster node answered POST %s with %q, single node %q", path, got, want)
 		}
 	}
-	for _, body := range []string{``, `{}`, `{"jobs":null}`, `{"jobs":[1]}`, `{"jobs":[{}],"more":1}`, `{"jobs":[{"a":"}"}]}x`} {
-		if got := splitJobs([]byte(body)); got != nil {
-			t.Errorf("%q split into %q, want nil", body, got)
+	for _, id := range tc.ids {
+		if got := answerOf(t, "GET", tc.srvs[id].URL+"/v1/runs", ""); got != "200 application/json\n{\"jobs\":[]}\n" {
+			t.Errorf("%s lists %q after a refused batch, want no job", id, got)
 		}
+	}
+	if n := tc.totalRuns(); n != 0 {
+		t.Errorf("%d simulations ran for a refused batch", n)
 	}
 }

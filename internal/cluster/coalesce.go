@@ -18,7 +18,7 @@ import (
 // fire-and-forget traffic batch separately — their response timing
 // differs by design — hence one batcher per (peer, wait) pair. Each
 // rider gets its share of the peer's job elements, undecoded.
-type fwdBatcher = coalesce.Batcher[simd.RunRequest, json.RawMessage]
+type fwdBatcher = coalesce.Batcher[simd.Keyed, json.RawMessage]
 
 // refusal carries a peer's non-2xx answer through the coalescer as an
 // error. A merged batch the peer refused as a unit (one rider's quota,
@@ -34,11 +34,11 @@ func (r *refusal) Error() string { return fmt.Sprintf("cluster: peer answered HT
 // merged round trip itself runs on the background context, because the
 // riders belong to different client connections and one hangup must not
 // cancel the rest.
-func (n *Node) forward(ctx context.Context, owner string, reqs []simd.RunRequest, wait bool) ([]json.RawMessage, *submitOutcome, error) {
+func (n *Node) forward(ctx context.Context, owner string, ks []simd.Keyed, wait bool) ([]json.RawMessage, *submitOutcome, error) {
 	if window, _ := n.svc.Batching(); window <= 0 {
-		return n.forwardSubmit(ctx, n.peers[owner], reqs, wait)
+		return n.forwardSubmit(ctx, n.peers[owner], ks, wait)
 	}
-	elems, err := n.fwdFor(owner, wait).Do(ctx, reqs)
+	elems, err := n.fwdFor(owner, wait).Do(ctx, ks)
 	var ref *refusal
 	if errors.As(err, &ref) {
 		return nil, ref.out, nil
@@ -60,8 +60,8 @@ func (n *Node) fwdFor(owner string, wait bool) *fwdBatcher {
 		b = &fwdBatcher{
 			Window: window,
 			Max:    max,
-			Submit: func(reqs []simd.RunRequest) ([]json.RawMessage, error) {
-				elems, out, err := n.forwardSubmit(context.Background(), p, reqs, wait)
+			Submit: func(ks []simd.Keyed) ([]json.RawMessage, error) {
+				elems, out, err := n.forwardSubmit(context.Background(), p, ks, wait)
 				if out != nil {
 					return nil, &refusal{out}
 				}

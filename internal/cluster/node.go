@@ -306,13 +306,14 @@ func (n *Node) writeMetrics(w io.Writer) {
 
 // --- submit routing ---
 
-// submitOutcome is one owner group's result: either statuses merged
-// into the batch response, or the first error response to propagate.
+// submitOutcome is one owner group's failure, the first of which is the
+// batch's answer: a peer's non-2xx response as it sent it, or an error
+// from the local service (rendered by WriteSubmitError).
 type submitOutcome struct {
 	code   int
 	header http.Header // Retry-After / X-Fvpd-Tenant etc., remote errors only
 	body   []byte      // raw error body, remote errors only
-	err    error       // local submit error (rendered by WriteSubmitError)
+	err    error       // local submit error
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -323,40 +324,25 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		n.inner.ServeHTTP(w, r)
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+	// The whole batch is read and keyed before any of it moves: a body
+	// the service would refuse is refused here, and nothing is forwarded.
+	ks, ok := simd.ReadSubmit(w, r)
+	if !ok {
 		return
-	}
-	reqs, legacy, err := simd.ParseRuns(raw)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	if legacy {
-		simd.MarkSamplingDeprecated(w.Header())
 	}
 	wait := r.URL.Query().Get("wait") != ""
 
 	// Group the batch by owner. Routing hashes the same spec key the
 	// service dedups on, so concurrent submits of one spec — to any
-	// node — meet at the owner and collapse to a single simulation. A
-	// local group hands its keys on to admission.
+	// node — meet at the owner and collapse to a single simulation.
 	type group struct {
 		idxs []int
-		reqs []simd.RunRequest
-		keys []string
+		ks   []simd.Keyed
 	}
 	groups := make(map[string]*group)
-	for i, req := range reqs {
-		flat, err := req.Flattened()
-		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, err)
-			return
-		}
-		key := simd.SpecKey(flat.RunSpec)
-		owner := n.ring.owner(key)
-		if owner != n.cfg.Self && n.rep.servesLocally(key) {
+	for i, k := range ks {
+		owner := n.ring.owner(k.Key)
+		if owner != n.cfg.Self && n.rep.servesLocally(k.Key) {
 			// A replicated hot result lives in our own cache: serve it here,
 			// zero hops, and keep serving it if the owner is gone.
 			owner = n.cfg.Self
@@ -367,8 +353,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			groups[owner] = g
 		}
 		g.idxs = append(g.idxs, i)
-		g.reqs = append(g.reqs, req)
-		g.keys = append(g.keys, key)
+		g.ks = append(g.ks, k)
 	}
 
 	// Fan out: every owner group runs concurrently (local execution
@@ -379,72 +364,52 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// stay admitted (a batch is not a transaction — callers that need
 	// all-or-nothing submit one group per request). Each group fills its
 	// requests' slots with encoded job elements: an owner's as it sent
-	// them, a local group's encoded here.
-	jobs := make([]json.RawMessage, len(reqs))
+	// them, a local group's as the service's answer encoded them.
+	jobs := make([]json.RawMessage, len(ks))
 	var (
 		mu       sync.Mutex
 		firstOut *submitOutcome
 		wg       sync.WaitGroup
 	)
-	fail := func(out submitOutcome) {
-		mu.Lock()
-		if firstOut == nil {
-			firstOut = &out
-		}
-		mu.Unlock()
-	}
-	runLocal := func(g *group) {
-		statuses, err := n.svc.SubmitBatched(g.reqs, g.keys)
-		if err != nil {
-			fail(submitOutcome{err: err})
-			return
-		}
-		if wait {
-			if statuses, err = n.svc.AwaitBatch(r.Context(), statuses); err != nil {
-				return // client gone; jobs already canceled
-			}
-		}
-		for i, st := range statuses {
-			if jobs[g.idxs[i]], err = json.Marshal(st); err != nil {
-				fail(submitOutcome{err: fmt.Errorf("%w: encoding job %s: %v", simd.ErrStore, st.ID, err)})
-				return
-			}
-		}
-	}
 	for owner, g := range groups {
 		wg.Add(1)
 		go func(owner string, g *group) {
 			defer wg.Done()
+			var elems []json.RawMessage
+			var out *submitOutcome
+			var err error
 			if owner == n.cfg.Self {
-				runLocal(g)
+				elems, err = n.svc.Answer(r.Context(), g.ks, wait)
+			} else if elems, out, err = n.forward(r.Context(), owner, g.ks, wait); err != nil && r.Context().Err() == nil {
+				// The owner is unreachable: run here, give up dedup.
+				elems, err = n.svc.Answer(r.Context(), g.ks, wait)
+			}
+			if err != nil {
+				out = &submitOutcome{err: err}
+			}
+			if out != nil {
+				mu.Lock()
+				if firstOut == nil {
+					firstOut = out
+				}
+				mu.Unlock()
 				return
 			}
-			elems, errResp, transportErr := n.forward(r.Context(), owner, g.reqs, wait)
-			switch {
-			case transportErr != nil:
-				if r.Context().Err() != nil {
-					return // client gone; nothing to write or run
-				}
-				runLocal(g) // owner unreachable: run here, give up dedup
-			case errResp != nil:
-				fail(*errResp)
-			default:
-				for i, el := range elems {
-					jobs[g.idxs[i]] = el
-				}
+			for i, el := range elems {
+				jobs[g.idxs[i]] = el
 			}
 		}(owner, g)
 	}
 	wg.Wait()
 
-	if r.Context().Err() != nil {
-		return
-	}
-	if firstOut != nil {
-		if firstOut.err != nil {
-			simd.WriteSubmitError(w, firstOut.err)
-			return
-		}
+	switch {
+	case r.Context().Err() != nil:
+		// The client is gone; its waited-on jobs are canceled.
+	case firstOut == nil:
+		simd.WriteJobs(w, wait, jobs)
+	case firstOut.err != nil:
+		simd.WriteSubmitError(w, firstOut.err)
+	default:
 		for _, k := range []string{"Retry-After", "X-Fvpd-Tenant", "Content-Type"} {
 			if v := firstOut.header.Get(k); v != "" {
 				w.Header().Set(k, v)
@@ -452,33 +417,21 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		w.WriteHeader(firstOut.code)
 		w.Write(firstOut.body)
-		return
 	}
-	code := http.StatusAccepted
-	if wait {
-		code = http.StatusOK
-	}
-	// The bytes json.Encoder writes for a simd.SubmitResponse of these jobs.
-	body := []byte(`{"jobs":[`)
-	for i, job := range jobs {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = append(body, job...)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(body, "]}\n"...))
 }
 
 // forwardSubmit sends one owner group to its peer as a {"runs":[...]}
 // batch. It returns the peer's job elements on 2xx, split out of its
-// {"jobs":[...]} answer undecoded, one per request; the raw error
+// answer undecoded by simd.SplitJobs, one per request; the raw error
 // response on a non-2xx (the peer is alive; its answer — a 429 quota
 // rejection, a 503 backpressure — belongs to the client); or a transport
 // error after the breaker/retry budget is spent (the caller falls back to
 // local execution).
-func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunRequest, wait bool) ([]json.RawMessage, *submitOutcome, error) {
+func (n *Node) forwardSubmit(ctx context.Context, p *peer, ks []simd.Keyed, wait bool) ([]json.RawMessage, *submitOutcome, error) {
+	reqs := make([]simd.RunRequest, len(ks))
+	for i, k := range ks {
+		reqs[i] = k.Req
+	}
 	body, err := json.Marshal(struct {
 		Runs []simd.RunRequest `json:"runs"`
 	}{reqs})
@@ -513,59 +466,13 @@ func (n *Node) forwardSubmit(ctx context.Context, p *peer, reqs []simd.RunReques
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
 			return nil, &submitOutcome{code: resp.StatusCode, header: resp.Header, body: raw}, nil
 		}
-		elems := splitJobs(raw)
+		elems := simd.SplitJobs(raw)
 		if len(elems) != len(reqs) {
 			return nil, nil, fmt.Errorf("cluster: peer %s returned a malformed response for %d runs: %.200q", p.id, len(reqs), raw)
 		}
 		return elems, nil, nil
 	}
 	return nil, nil, lastErr
-}
-
-// splitJobs splits a submit answer, {"jobs":[...]} as the service writes
-// it, into its job elements without decoding them: one pass that tracks
-// strings and nesting and cuts at the array's own commas. It returns nil
-// for a body of any other shape, an unclosed string or bracket, or an
-// element that is not an object.
-func splitJobs(body []byte) []json.RawMessage {
-	rest, prefixed := bytes.CutPrefix(bytes.TrimSpace(body), []byte(`{"jobs":[`))
-	rest, suffixed := bytes.CutSuffix(rest, []byte(`]}`))
-	if !prefixed || !suffixed {
-		return nil
-	}
-	var elems []json.RawMessage
-	depth, start := 0, 0
-	inString, escaped := false, false
-	for i, c := range rest {
-		switch {
-		case escaped:
-			escaped = false
-		case inString:
-			escaped = c == '\\'
-			inString = c != '"'
-		case c == '"':
-			inString = true
-		case c == '{' || c == '[':
-			depth++
-		case c == '}' || c == ']':
-			if depth--; depth < 0 {
-				return nil
-			}
-		case c == ',' && depth == 0:
-			elems = append(elems, rest[start:i])
-			start = i + 1
-		}
-	}
-	if inString || depth != 0 {
-		return nil
-	}
-	elems = append(elems, rest[start:])
-	for _, el := range elems {
-		if len(el) < 2 || el[0] != '{' || el[len(el)-1] != '}' {
-			return nil
-		}
-	}
-	return elems
 }
 
 // roundTrip performs one breaker-gated forward attempt. bounded adds
@@ -664,14 +571,6 @@ func (n *Node) handleByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(ForwardPeerHeader, node)
-	writeJSONError(w, http.StatusBadGateway,
+	simd.WriteError(w, http.StatusBadGateway,
 		fmt.Errorf("cluster: job owner %q unreachable: %v", node, lastErr))
-}
-
-func writeJSONError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

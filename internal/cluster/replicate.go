@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+
+	"fvp/internal/simd"
 )
 
 // hotTrackCap bounds the heat-tracking map. Keys arriving past the cap
@@ -152,11 +154,11 @@ func (n *Node) pushReplica(p *peer, key string, val []byte) error {
 func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+		simd.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := n.svc.PutCachedResult(r.PathValue("key"), raw); err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+		simd.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if n.rep != nil {

@@ -50,10 +50,9 @@ func wireSpec(warmup int, extra string) string {
 	return fmt.Sprintf(`{"workload":"omnetpp","predictor":"fvp","warmup_insts":%d,"measure_insts":5000%s}`, warmup, extra)
 }
 
-// wireCheck sends one request and compares the answer with
-// testdata/wire/<name>.txt (or records it under -update-wire). It
-// returns the answer.
-func wireCheck(t *testing.T, name, method, url, body string) string {
+// answerOf sends one request and renders its answer as the goldens
+// hold it: the status code and Content-Type, then the body.
+func answerOf(t *testing.T, method, url, body string) string {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
@@ -68,7 +67,15 @@ func wireCheck(t *testing.T, name, method, url, body string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fmt.Sprintf("%d %s\n%s", resp.StatusCode, resp.Header.Get("Content-Type"), b)
+	return fmt.Sprintf("%d %s\n%s", resp.StatusCode, resp.Header.Get("Content-Type"), b)
+}
+
+// wireCheck sends one request and compares the answer with
+// testdata/wire/<name>.txt (or records it under -update-wire). It
+// returns the answer.
+func wireCheck(t *testing.T, name, method, url, body string) string {
+	t.Helper()
+	got := answerOf(t, method, url, body)
 	path := filepath.Join("testdata", "wire", name+".txt")
 	if *updateWire {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -91,7 +98,8 @@ func wireCheck(t *testing.T, name, method, url, body string) string {
 
 // TestWireGoldens pins the answers of a single fvpd and of a two-node
 // cluster, the latter with forward coalescing off and on: both must
-// answer the same bytes.
+// answer the same bytes. An empty batch is refused with one answer,
+// submit-empty-batch, by every server in wait and in async mode.
 func TestWireGoldens(t *testing.T) {
 	t.Run("single-node", func(t *testing.T) {
 		svc := simd.New(simd.Config{Workers: 1, Run: wireMetrics})
@@ -114,6 +122,8 @@ func TestWireGoldens(t *testing.T) {
 		if _, err := svc.Wait(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
+		check("submit-empty-batch", "POST", "/v1/runs?wait=1", `{"runs":[]}`)
+		check("submit-empty-batch", "POST", "/v1/runs", `{"runs":[]}`)
 		check("get-done", "GET", "/v1/runs/"+id, "")
 		check("list", "GET", "/v1/runs", "")
 		check("submit-invalid", "POST", "/v1/runs?wait=1", `{"workload":"omnetp"}`)
@@ -144,6 +154,8 @@ func TestWireGoldens(t *testing.T) {
 				wireSpec(remote[0], "")+`,`+wireSpec(local[0], `,"tenant":"team-b"`)+`]}`)
 			wireCheck(t, "cluster-split-async", "POST", entry+"/v1/runs",
 				`{"runs":[`+wireSpec(remote[2], "")+`,`+wireSpec(local[1], "")+`]}`)
+			check("submit-empty-batch", `{"runs":[]}`)
+			wireCheck(t, "submit-empty-batch", "POST", entry+"/v1/runs", `{"runs":[]}`)
 		})
 	}
 }

@@ -19,7 +19,7 @@ func instantStub(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
 	return fvp.Metrics{IPC: 1, Cycles: 1, Insts: 1}, nil
 }
 
-// TestBatcherCoalescesConcurrentSubmits: N concurrent SubmitBatched
+// TestBatcherCoalescesConcurrentSubmits: N concurrent Submit
 // callers with BatchMax = N land in one flush — the fvpd_batch_size
 // histogram records a single observation of N — and every caller gets
 // its own admitted status back.
@@ -40,7 +40,7 @@ func TestBatcherCoalescesConcurrentSubmits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(1000 + i))}}, nil)
+			sts, err := submit(svc, RunRequest{RunSpec: batchSpec(uint64(1000 + i))})
 			if err != nil {
 				errs[i] = err
 				return
@@ -86,7 +86,7 @@ func TestBatcherDrainFlushesPending(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(2000 + i))}}, nil)
+			sts, err := submit(svc, RunRequest{RunSpec: batchSpec(uint64(2000 + i))})
 			if err != nil {
 				errs[i] = err
 				return
@@ -135,14 +135,13 @@ func TestBatchMixedTenantQuotaIsolation(t *testing.T) {
 		defer wg.Done()
 		// Two unique specs against a burst of 1: over quota on its own,
 		// and poison for any merged batch it rides in.
-		_, floodErr = svc.SubmitBatched([]RunRequest{
-			{Tenant: "flood", RunSpec: batchSpec(3000)},
-			{Tenant: "flood", RunSpec: batchSpec(3001)},
-		}, nil)
+		_, floodErr = submit(svc,
+			RunRequest{Tenant: "flood", RunSpec: batchSpec(3000)},
+			RunRequest{Tenant: "flood", RunSpec: batchSpec(3001)})
 	}()
 	go func() {
 		defer wg.Done()
-		okStatuses, okErr = svc.SubmitBatched([]RunRequest{{Tenant: "ok", RunSpec: batchSpec(4000)}}, nil)
+		okStatuses, okErr = submit(svc, RunRequest{Tenant: "ok", RunSpec: batchSpec(4000)})
 	}()
 	wg.Wait()
 
@@ -180,7 +179,7 @@ func TestBatchedSubmitMatchesUnbatched(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				// Three unique specs, aliased four ways each.
-				sts, err := svc.SubmitBatched([]RunRequest{{RunSpec: batchSpec(uint64(5000 + i%3))}}, nil)
+				sts, err := submit(svc, RunRequest{RunSpec: batchSpec(uint64(5000 + i%3))})
 				if err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return

@@ -65,7 +65,7 @@ func TestRequestLatencyFromServer(t *testing.T) {
 
 	c := New(srv.URL)
 	spec := fvp.RunSpec{Workload: "omnetpp", Predictor: "fvp", WarmupInsts: 100, MeasureInsts: 1000}
-	if _, err := c.Run(context.Background(), spec); err != nil {
+	if _, err := c.Run(context.Background(), spec, ""); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := c.RequestLatency(context.Background())

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -101,7 +102,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
+// WriteError writes the API's JSON error envelope, {"error":"..."}, with
+// status code.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
@@ -155,17 +158,36 @@ func parseRunsTwoPass(raw []byte) ([]RunRequest, error) {
 	return []RunRequest{one}, nil
 }
 
-// MarkSamplingDeprecated stamps the RFC 8594-style deprecation signal
-// for requests still using the flat sample_* fields.
-func MarkSamplingDeprecated(h http.Header) {
-	h.Set("Deprecation", "true")
-	h.Set("Link", `</v1/runs>; rel="successor-version"; title="use the nested sampling{} block instead of flat sample_* fields"`)
+// ReadSubmit reads a POST /v1/runs body and keys every request in it.
+// A body in the deprecated flat sampling form gets the RFC 8594-style
+// Deprecation and Link headers. A body that does not read, parse or key —
+// an empty batch or any invalid request — is answered here with 400 and
+// ok false, before any of its requests reaches a service or a peer.
+func ReadSubmit(w http.ResponseWriter, r *http.Request) (ks []Keyed, ok bool) {
+	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	reqs, legacy, err := ParseRuns(raw)
+	if legacy {
+		w.Header().Set("Deprecation", "true")
+		w.Header().Set("Link", `</v1/runs>; rel="successor-version"; title="use the nested sampling{} block instead of flat sample_* fields"`)
+	}
+	if err == nil {
+		ks, err = KeyRuns(reqs)
+	}
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return ks, true
 }
 
-// WriteSubmitError renders a SubmitBatch error with the API's status
-// code and header conventions: 429 + Retry-After for per-tenant quota
-// rejections, 503 + Retry-After for global backpressure and shutdown,
-// 500 for durable-store refusals, 400 for validation errors.
+// WriteSubmitError renders a Submit error with the API's status code and
+// header conventions: 429 + Retry-After for per-tenant quota rejections,
+// 503 + Retry-After for global backpressure and shutdown, 500 for
+// durable-store refusals, 400 for anything else.
 func WriteSubmitError(w http.ResponseWriter, err error) {
 	var qe *QuotaError
 	switch {
@@ -176,24 +198,46 @@ func WriteSubmitError(w http.ResponseWriter, err error) {
 		}
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 		w.Header().Set("X-Fvpd-Tenant", qe.Tenant)
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrStore):
 		// The durable store refused the enqueue; nothing was admitted for
 		// this request and the client should not retry blindly.
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 	default:
-		// Validation errors (unknown names, empty batch) are client errors.
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
-// AwaitBatch blocks until every submitted job in statuses finishes,
-// returning their final states. A ctx cancellation (client disconnect)
-// cancels the not-yet-finished jobs and returns the ctx error.
-func (s *Service) AwaitBatch(ctx context.Context, statuses []JobStatus) ([]JobStatus, error) {
+// Answer is a submit's answer for keyed requests: it admits them through
+// Submit, in wait mode waits for every job to finish, and returns each
+// job's status encoded as an element of the {"jobs":[...]} body. An
+// admission error is the answer to write (WriteSubmitError renders it).
+// A ctx cancellation mid-wait means the client hung up: the jobs not yet
+// finished are canceled, with any simulation nobody else waits on.
+func (s *Service) Answer(ctx context.Context, ks []Keyed, wait bool) ([]json.RawMessage, error) {
+	statuses, err := s.Submit(ks)
+	if err == nil && wait {
+		err = s.await(ctx, statuses)
+	}
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]json.RawMessage, len(statuses))
+	for i, st := range statuses {
+		if jobs[i], err = json.Marshal(st); err != nil {
+			return nil, fmt.Errorf("%w: encoding job %s: %v", ErrStore, st.ID, err)
+		}
+	}
+	return jobs, nil
+}
+
+// await replaces each status with its job's final one. On a ctx
+// cancellation it cancels the jobs not yet waited on and returns the ctx
+// error.
+func (s *Service) await(ctx context.Context, statuses []JobStatus) error {
 	for i, st := range statuses {
 		final, err := s.Wait(ctx, st.ID)
 		statuses[i] = final
@@ -201,44 +245,94 @@ func (s *Service) AwaitBatch(ctx context.Context, statuses []JobStatus) ([]JobSt
 			for _, rest := range statuses[i+1:] {
 				s.Cancel(rest.ID)
 			}
-			return statuses, err
+			return err
 		}
 	}
-	return statuses, nil
+	return nil
+}
+
+// WriteJobs writes a submit's 2xx answer, {"jobs":[...]} of the encoded
+// job elements in request order: 200 in wait mode, 202 otherwise. The
+// body is byte for byte what json.Encoder writes for a SubmitResponse of
+// those jobs.
+func WriteJobs(w http.ResponseWriter, wait bool, jobs []json.RawMessage) {
+	body := []byte(`{"jobs":[`)
+	for i, job := range jobs {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, job...)
+	}
+	code := http.StatusAccepted
+	if wait {
+		code = http.StatusOK
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(body, "]}\n"...))
+}
+
+// SplitJobs splits a submit answer, {"jobs":[...]} as WriteJobs writes
+// it, into its job elements without decoding them: one pass that tracks
+// strings and nesting and cuts at the array's own commas. It returns nil
+// for a body of any other shape, an unclosed string or bracket, or an
+// element that is not an object.
+func SplitJobs(body []byte) []json.RawMessage {
+	rest, prefixed := bytes.CutPrefix(bytes.TrimSpace(body), []byte(`{"jobs":[`))
+	rest, suffixed := bytes.CutSuffix(rest, []byte(`]}`))
+	if !prefixed || !suffixed {
+		return nil
+	}
+	var elems []json.RawMessage
+	depth, start := 0, 0
+	inString, escaped := false, false
+	for i, c := range rest {
+		switch {
+		case escaped:
+			escaped = false
+		case inString:
+			escaped = c == '\\'
+			inString = c != '"'
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			if depth--; depth < 0 {
+				return nil
+			}
+		case c == ',' && depth == 0:
+			elems = append(elems, rest[start:i])
+			start = i + 1
+		}
+	}
+	if inString || depth != 0 {
+		return nil
+	}
+	elems = append(elems, rest[start:])
+	for _, el := range elems {
+		if len(el) < 2 || el[0] != '{' || el[len(el)-1] != '}' {
+			return nil
+		}
+	}
+	return elems
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	ks, ok := ReadSubmit(w, r)
+	if !ok {
 		return
 	}
-	reqs, legacy, err := ParseRuns(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if legacy {
-		MarkSamplingDeprecated(w.Header())
-	}
-	statuses, err := s.SubmitBatched(reqs, nil)
-	if err != nil {
+	wait := r.URL.Query().Get("wait") != ""
+	jobs, err := s.Answer(r.Context(), ks, wait)
+	switch {
+	case r.Context().Err() != nil:
+		// The client is gone; nothing to write.
+	case err != nil:
 		WriteSubmitError(w, err)
-		return
+	default:
+		WriteJobs(w, wait, jobs)
 	}
-
-	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, http.StatusAccepted, SubmitResponse{Jobs: statuses})
-		return
-	}
-	// Wait mode: block until every job finishes. A client disconnect
-	// cancels the request context, which cancels the waited-on jobs —
-	// and with them any simulation nobody else is interested in.
-	statuses, err = s.AwaitBatch(r.Context(), statuses)
-	if err != nil {
-		return // client is gone; nothing to write
-	}
-	writeJSON(w, http.StatusOK, SubmitResponse{Jobs: statuses})
 }
 
 // listStates are the values accepted by GET /v1/runs?state=.
@@ -255,7 +349,7 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("state"); q != "" {
 		st, ok := listStates[q]
 		if !ok {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				errors.New("simd: state must be one of queued|running|done|failed|canceled"))
 			return
 		}
@@ -269,10 +363,10 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, store.ErrNotFound):
-		writeError(w, http.StatusNotFound, errors.New("simd: no trace for this job"))
+		WriteError(w, http.StatusNotFound, errors.New("simd: no trace for this job"))
 		return
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	defer rc.Close()
@@ -283,7 +377,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("simd: no such job"))
+		WriteError(w, http.StatusNotFound, errors.New("simd: no such job"))
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -301,7 +395,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, st)
 		return
 	}
-	writeError(w, http.StatusNotFound, errors.New("simd: no such job"))
+	WriteError(w, http.StatusNotFound, errors.New("simd: no such job"))
 }
 
 func (s *Service) handleWorkloads(w http.ResponseWriter, r *http.Request) {

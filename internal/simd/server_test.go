@@ -1,12 +1,15 @@
 package simd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -283,5 +286,137 @@ func TestHTTPCatalogAndHealth(t *testing.T) {
 	resp.Body.Close()
 	if h.Status != "ok" || h.Workers != 1 {
 		t.Errorf("healthz = %+v", h)
+	}
+}
+
+// TestSplitJobs checks the one writer and the one splitter of a submit
+// answer on statuses whose strings hold commas, brackets, quotes,
+// backslashes, '<', 'é' and newlines: WriteJobs must write the bytes
+// json.Encoder writes for a SubmitResponse of them (the wire goldens
+// rely on that), SplitJobs must cut that body into the elements
+// json.Unmarshal finds, and it must refuse every truncation of it.
+func TestSplitJobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	alphabet := []string{",", "[", "]", "{", "}", `"`, `\`, `\"`, "a", "é", "<", "\n"}
+	for i := 0; i < 500; i++ {
+		jobs := make([]JobStatus, 1+rng.Intn(4))
+		elems := make([]json.RawMessage, len(jobs))
+		for j := range jobs {
+			var tenant, msg strings.Builder
+			for k := rng.Intn(8); k > 0; k-- {
+				tenant.WriteString(alphabet[rng.Intn(len(alphabet))])
+				msg.WriteString(alphabet[rng.Intn(len(alphabet))])
+			}
+			jobs[j] = JobStatus{ID: fmt.Sprintf("b.j-%08d", j), State: StateDone, Tenant: tenant.String(), Error: msg.String()}
+			if rng.Intn(2) == 0 {
+				jobs[j].Metrics = json.RawMessage(`{"ipc":1.5,"loads_by_level":[1,2,3,4]}`)
+			}
+			var err error
+			if elems[j], err = json.Marshal(jobs[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(SubmitResponse{Jobs: jobs}); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.Bytes()
+		wait := i%2 == 0
+		rec := httptest.NewRecorder()
+		WriteJobs(rec, wait, elems)
+		if !bytes.Equal(rec.Body.Bytes(), body) {
+			t.Fatalf("WriteJobs wrote %q, json.Encoder %q", rec.Body.Bytes(), body)
+		}
+		wantCode := http.StatusAccepted
+		if wait {
+			wantCode = http.StatusOK
+		}
+		if rec.Code != wantCode {
+			t.Fatalf("WriteJobs(wait %v) answered HTTP %d, want %d", wait, rec.Code, wantCode)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("WriteJobs Content-Type %q", ct)
+		}
+		var want struct {
+			Jobs []json.RawMessage `json:"jobs"`
+		}
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := SplitJobs(body); !reflect.DeepEqual(got, want.Jobs) {
+			t.Fatalf("%s split into %q, want %q", body, got, want.Jobs)
+		}
+		for n := 1; n < len(body)-1; n++ {
+			if got := SplitJobs(body[:n]); got != nil {
+				t.Fatalf("truncation %q split into %q, want nil", body[:n], got)
+			}
+		}
+	}
+	for _, body := range []string{``, `{}`, `{"jobs":null}`, `{"jobs":[1]}`, `{"jobs":[{}],"more":1}`, `{"jobs":[{"a":"}"}]}x`} {
+		if got := SplitJobs([]byte(body)); got != nil {
+			t.Errorf("%q split into %q, want nil", body, got)
+		}
+	}
+}
+
+// TestHTTPListAndTrace covers the read routes over HTTP: a run submitted
+// with "trace":true lists its artifact, GET /v1/runs filters by state
+// (400 for an unknown one), GET /v1/runs/{id}/trace serves the Perfetto
+// JSON (404 for an unknown job), and DELETE answers 409 for a finished
+// job and 404 for an unknown one.
+func TestHTTPListAndTrace(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	resp, out := postRuns(t, srv.URL+"/v1/runs?wait=1",
+		`{"workload":"omnetpp","predictor":"fvp","warmup_insts":1000,"measure_insts":2000,"trace":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced submit: HTTP %d", resp.StatusCode)
+	}
+	st := out.Jobs[0]
+	if st.State != StateDone {
+		t.Fatalf("traced run ended %s: %s", st.State, st.Error)
+	}
+	if len(st.Artifacts) != 1 || !strings.HasPrefix(st.Artifacts[0], "trace-") {
+		t.Fatalf("artifacts = %v, want one trace-* entry", st.Artifacts)
+	}
+
+	do := func(method, path string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.StatusCode, b
+	}
+	for state, want := range map[string]int{"": 1, "done": 1, "queued": 0} {
+		code, b := do("GET", "/v1/runs?state="+state)
+		var list JobList
+		if err := json.Unmarshal(b, &list); err != nil || code != http.StatusOK || len(list.Jobs) != want ||
+			(want == 1 && list.Jobs[0].ID != st.ID) {
+			t.Errorf("list state=%q: HTTP %d %s, want %d job(s)", state, code, b, want)
+		}
+	}
+	if code, b := do("GET", "/v1/runs?state=bogus"); code != http.StatusBadRequest {
+		t.Errorf("list with a bad state: HTTP %d %s, want 400", code, b)
+	}
+	if code, b := do("GET", "/v1/runs/"+st.ID+"/trace"); code != http.StatusOK || !strings.Contains(string(b), "traceEvents") {
+		t.Errorf("trace: HTTP %d, %d bytes, want chrome://tracing JSON", code, len(b))
+	}
+	if code, _ := do("GET", "/v1/runs/j-99999999/trace"); code != http.StatusNotFound {
+		t.Errorf("trace of an unknown job: HTTP %d, want 404", code)
+	}
+	if code, _ := do("DELETE", "/v1/runs/"+st.ID); code != http.StatusConflict {
+		t.Errorf("cancel of a done job: HTTP %d, want 409", code)
+	}
+	if code, _ := do("DELETE", "/v1/runs/j-99999999"); code != http.StatusNotFound {
+		t.Errorf("cancel of an unknown job: HTTP %d, want 404", code)
 	}
 }

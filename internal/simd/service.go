@@ -211,12 +211,12 @@ type Service struct {
 	recovered uint64 // jobs re-dispatched from the JobStore at boot
 
 	// batch is the edge micro-batcher; nil unless Config.BatchWindow > 0.
-	batch *coalesce.Batcher[keyed, JobStatus]
+	batch *coalesce.Batcher[Keyed, JobStatus]
 	// checked holds the spec keys whose stored result this process wrote
 	// or has decoded once (see cachedResultLocked).
 	checked map[string]struct{}
 	// observeKey, if set, sees the spec key of every request that reaches
-	// SubmitBatched (see ObserveKeys).
+	// Submit (see ObserveKeys).
 	observeKey func(key string)
 	// batchSizes is fvpd_batch_size: requests coalesced per flush. A p50
 	// near 1 means the window is not seeing concurrency; widen it or stop
@@ -264,10 +264,10 @@ func New(cfg Config) *Service {
 	s.reqHist = telemetry.NewVec(telemetry.NewLatency)
 	if cfg.BatchWindow > 0 {
 		s.batchSizes = telemetry.NewSizes()
-		s.batch = &coalesce.Batcher[keyed, JobStatus]{
+		s.batch = &coalesce.Batcher[Keyed, JobStatus]{
 			Window:  cfg.BatchWindow,
 			Max:     cfg.BatchMax,
-			Submit:  s.submitKeyed,
+			Submit:  s.admit,
 			OnFlush: func(n int) { s.batchSizes.Observe(float64(n)) },
 		}
 	}
@@ -327,73 +327,24 @@ func (s *Service) recoverJobs() {
 	}
 }
 
-// Submit validates, deduplicates, and enqueues one run, returning the
-// job's initial status. A cached or deduplicated submit never consumes a
-// queue slot. Returns *fvp.UnknownNameError for bad names, ErrQueueFull
-// when the queue is at capacity, ErrClosed during shutdown, ErrStore when
-// the durable store refused the job.
-func (s *Service) Submit(req RunRequest) (JobStatus, error) {
-	sts, err := s.SubmitBatch([]RunRequest{req})
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return sts[0], nil
+// Keyed is one request of a submit, flattened, validated and paired with
+// its spec key: the form admission, the edge micro-batcher and the
+// cluster router take. KeyRuns builds it, once per request; ReadSubmit
+// calls KeyRuns for a POST /v1/runs body.
+type Keyed struct {
+	Req RunRequest
+	Key string
 }
 
-// SubmitBatched routes one caller's requests through the edge
-// micro-batcher when one is configured (Config.BatchWindow > 0) and
-// straight to admission otherwise. Concurrent callers within one window
-// share a single admission — one pass, one tenant-quota transaction, one
-// durable JobStore append (one fsync on the disk backend). Coalesced
-// callers keep their individual semantics — a rejection that only
-// applies to the merged batch (another caller's quota) degrades to
-// per-caller submits rather than poisoning everyone in the window; each
-// caller's requests are validated before they join it. The HTTP submit
-// path and the cluster router's local groups use this entry point. keys,
-// when not nil, holds each request's SpecKey, which the cluster router
-// computed to route it; nil keys are computed here.
-func (s *Service) SubmitBatched(reqs []RunRequest, keys []string) ([]JobStatus, error) {
-	ks, err := keyRequests(reqs, keys)
-	if err != nil {
-		return nil, err
-	}
-	if s.observeKey != nil {
-		for _, k := range ks {
-			s.observeKey(k.key)
-		}
-	}
-	if s.batch == nil {
-		return s.submitKeyed(ks)
-	}
-	return s.batch.Do(context.Background(), ks)
-}
-
-// ObserveKeys registers fn to see the spec key of every request that
-// reaches SubmitBatched, before its admission; the cluster router counts
-// the demand for the keys its node owns with it. Call it before the
-// service takes submits.
-func (s *Service) ObserveKeys(fn func(key string)) { s.observeKey = fn }
-
-// Batching reports the coalescing window and size cap (Config.BatchWindow
-// and BatchMax); a zero window means coalescing is off.
-func (s *Service) Batching() (window time.Duration, max int) {
-	return s.cfg.BatchWindow, s.cfg.BatchMax
-}
-
-// keyed is a flattened, validated request and its spec key: the form
-// admission and the edge micro-batcher take, built once per request.
-type keyed struct {
-	req RunRequest
-	key string
-}
-
-// keyRequests flattens and validates each request and pairs it with its
-// spec key, taken from keys when the caller already computed them.
-func keyRequests(reqs []RunRequest, keys []string) ([]keyed, error) {
+// KeyRuns flattens and validates each request and pairs it with its spec
+// key. It refuses an empty batch, and a batch with a request that does
+// not flatten (ErrSamplingConflict) or validate (fvp.Validate's error,
+// such as *fvp.UnknownNameError for a bad name).
+func KeyRuns(reqs []RunRequest) ([]Keyed, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("simd: empty batch")
 	}
-	ks := make([]keyed, len(reqs))
+	ks := make([]Keyed, len(reqs))
 	for i, r := range reqs {
 		flat, err := r.Flattened()
 		if err != nil {
@@ -402,36 +353,52 @@ func keyRequests(reqs []RunRequest, keys []string) ([]keyed, error) {
 		if err := fvp.Validate(flat.RunSpec); err != nil {
 			return nil, err
 		}
-		ks[i].req = flat
-		if keys != nil {
-			ks[i].key = keys[i]
-		} else {
-			ks[i].key = specKey(flat.RunSpec)
-		}
+		ks[i] = Keyed{Req: flat, Key: specKey(flat.RunSpec)}
 	}
 	return ks, nil
 }
 
-// SubmitBatch submits a batch atomically with respect to queue capacity,
-// tenant quotas, and the durable store: either every new unique run is
-// admitted or the whole batch is rejected — with *QuotaError when a
-// tenant is over its admission budget, ErrQueueFull when the global
-// queue is at capacity (cached and deduplicated entries need neither
-// tokens nor a slot), ErrStore when the durable store refused the
-// batch's single append. All fresh leaders in the batch share one
-// JobStore append — one fsync on the disk backend however many submits
-// the micro-batcher coalesced. Validation errors also reject the whole
-// batch.
-func (s *Service) SubmitBatch(reqs []RunRequest) ([]JobStatus, error) {
-	ks, err := keyRequests(reqs, nil)
-	if err != nil {
-		return nil, err
+// Submit admits a batch of keyed requests, atomically with respect to
+// queue capacity, tenant quotas and the durable store: either every new
+// unique run is admitted or the whole batch is rejected, with *QuotaError
+// when a tenant is over its admission budget, ErrQueueFull when the queue
+// is at capacity (cached and deduplicated entries need neither tokens nor
+// a slot), ErrClosed during shutdown, or ErrStore when the durable store
+// refused the batch's single append.
+//
+// With Config.BatchWindow set, Submit goes through the edge micro-batcher:
+// concurrent callers within one window share a single admission — one
+// pass, one tenant-quota transaction, one durable JobStore append (one
+// fsync on the disk backend). Coalesced callers keep their individual
+// semantics: a rejection that only applies to the merged batch (another
+// caller's quota) degrades to per-caller admissions rather than poisoning
+// everyone in the window.
+func (s *Service) Submit(ks []Keyed) ([]JobStatus, error) {
+	if s.observeKey != nil {
+		for _, k := range ks {
+			s.observeKey(k.Key)
+		}
 	}
-	return s.submitKeyed(ks)
+	if s.batch == nil {
+		return s.admit(ks)
+	}
+	return s.batch.Do(context.Background(), ks)
 }
 
-// submitKeyed is SubmitBatch's admission of keyed requests.
-func (s *Service) submitKeyed(ks []keyed) ([]JobStatus, error) {
+// ObserveKeys registers fn to see the spec key of every request that
+// reaches Submit, before its admission; the cluster router counts the
+// demand for the keys its node owns with it. Call it before the service
+// takes submits.
+func (s *Service) ObserveKeys(fn func(key string)) { s.observeKey = fn }
+
+// Batching reports the coalescing window and size cap (Config.BatchWindow
+// and BatchMax); a zero window means coalescing is off.
+func (s *Service) Batching() (window time.Duration, max int) {
+	return s.cfg.BatchWindow, s.cfg.BatchMax
+}
+
+// admit is Submit's admission of one batch, merged or not.
+func (s *Service) admit(ks []Keyed) ([]JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -453,15 +420,15 @@ func (s *Service) submitKeyed(ks []keyed) ([]JobStatus, error) {
 	perTenant := make(map[string]int)
 	need := 0
 	for i, k := range ks {
-		if result, ok := s.cachedResultLocked(k.key); ok {
+		if result, ok := s.cachedResultLocked(k.Key); ok {
 			kinds[i], results[i] = kCached, result
-		} else if s.inflight[k.key] != nil || leaders[k.key] {
+		} else if s.inflight[k.Key] != nil || leaders[k.Key] {
 			kinds[i] = kFollower
 		} else {
 			kinds[i] = kLeader
-			leaders[k.key] = true
+			leaders[k.Key] = true
 			need++
-			perTenant[k.req.Tenant]++
+			perTenant[k.Req.Tenant]++
 		}
 	}
 	if err := s.admitTenantsLocked(perTenant); err != nil {
@@ -491,12 +458,12 @@ func (s *Service) submitKeyed(ks []keyed) ([]JobStatus, error) {
 		if kinds[i] != kLeader {
 			continue
 		}
-		encoded, err := json.Marshal(k.req)
+		encoded, err := json.Marshal(k.Req)
 		if err != nil {
 			refund()
 			return nil, fmt.Errorf("%w: encoding spec: %v", ErrStore, err)
 		}
-		records = append(records, store.JobRecord{ID: nums[i], Key: k.key, Tenant: k.req.Tenant, Spec: encoded})
+		records = append(records, store.JobRecord{ID: nums[i], Key: k.Key, Tenant: k.Req.Tenant, Spec: encoded})
 	}
 	if err := s.st.Jobs.AppendBatch(records); err != nil {
 		refund()
@@ -509,17 +476,17 @@ func (s *Service) submitKeyed(ks []keyed) ([]JobStatus, error) {
 	out := make([]JobStatus, len(ks))
 	for i, k := range ks {
 		j := &job{
-			id: s.jobID(nums[i]), numID: nums[i], key: k.key, spec: k.req.RunSpec.Normalized(),
-			tenant: k.req.Tenant, trace: k.req.Trace, done: make(chan struct{}),
+			id: s.jobID(nums[i]), numID: nums[i], key: k.Key, spec: k.Req.RunSpec.Normalized(),
+			tenant: k.Req.Tenant, trace: k.Req.Trace, done: make(chan struct{}),
 		}
 		switch kinds[i] {
 		case kCached:
 			s.finishCachedLocked(j, results[i])
 		case kLeader:
 			s.jobs[j.id] = j
-			s.startLeaderLocked(j, k.req.TimeoutMS)
+			s.startLeaderLocked(j, k.Req.TimeoutMS)
 		case kFollower:
-			s.attachFollowerLocked(j, s.inflight[k.key])
+			s.attachFollowerLocked(j, s.inflight[k.Key])
 		}
 		// A submit counts a cache hit exactly when it is served cached; a
 		// recovered job counts neither.

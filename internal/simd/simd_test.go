@@ -17,6 +17,25 @@ func fastSpec() fvp.RunSpec {
 	return fvp.RunSpec{Workload: "omnetpp", Predictor: fvp.PredFVP, WarmupInsts: 1_000, MeasureInsts: 2_000}
 }
 
+// submit keys reqs, as ReadSubmit keys a body's requests, and submits
+// them.
+func submit(svc *Service, reqs ...RunRequest) ([]JobStatus, error) {
+	ks, err := KeyRuns(reqs)
+	if err != nil {
+		return nil, err
+	}
+	return svc.Submit(ks)
+}
+
+// submitOne submits one request and returns its job's status.
+func submitOne(svc *Service, req RunRequest) (JobStatus, error) {
+	sts, err := submit(svc, req)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return sts[0], nil
+}
+
 // metricsOf decodes a done job's result, failing the test when it has none.
 func metricsOf(t testing.TB, st JobStatus) fvp.Metrics {
 	t.Helper()
@@ -49,7 +68,7 @@ func TestSubmitServesSecondFromCache(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
 
-	first, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+	first, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +80,7 @@ func TestSubmitServesSecondFromCache(t *testing.T) {
 		t.Error("first run must not be cached")
 	}
 
-	second, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+	second, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +123,7 @@ func TestSingleFlightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+			st, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 			if err != nil {
 				errs[i] = err
 				return
@@ -154,23 +173,23 @@ func TestQueueFullAllOrNothingBatch(t *testing.T) {
 		s.WarmupInsts = n // distinct spec per n
 		return RunRequest{RunSpec: s}
 	}
-	if _, err := svc.Submit(specN(10)); err != nil {
+	if _, err := submitOne(svc, specN(10)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return svc.Snapshot().JobsRunning == 1 })
-	if _, err := svc.Submit(specN(20)); err != nil {
+	if _, err := submitOne(svc, specN(20)); err != nil {
 		t.Fatal(err)
 	}
 
 	// A 2-run batch needs 2 slots but only 1 is free: reject whole batch.
-	if _, err := svc.SubmitBatch([]RunRequest{specN(30), specN(40)}); err != ErrQueueFull {
+	if _, err := submit(svc, specN(30), specN(40)); err != ErrQueueFull {
 		t.Fatalf("over-capacity batch: err=%v, want ErrQueueFull", err)
 	}
 	if got := svc.Snapshot().JobsQueued; got != 1 {
 		t.Errorf("rejected batch must not leak queue slots: queued=%d, want 1", got)
 	}
 	// A 2-run batch whose second entry dedups onto the first needs 1 slot.
-	if _, err := svc.SubmitBatch([]RunRequest{specN(50), specN(50)}); err != nil {
+	if _, err := submit(svc, specN(50), specN(50)); err != nil {
 		t.Errorf("dedupable batch should fit: %v", err)
 	}
 }
@@ -183,7 +202,7 @@ func TestCancelStopsSimulation(t *testing.T) {
 	defer svc.Close()
 
 	spec := fvp.RunSpec{Workload: "omnetpp", Predictor: fvp.PredFVP, MeasureInsts: 1_000_000_000}
-	st, err := svc.Submit(RunRequest{RunSpec: spec})
+	st, err := submitOne(svc, RunRequest{RunSpec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +220,7 @@ func TestCancelStopsSimulation(t *testing.T) {
 		t.Errorf("job state = %s, want canceled", final.State)
 	}
 	// The freed worker must pick up new work (fast real run).
-	st2, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+	st2, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +248,12 @@ func TestCancelFollowerKeepsLeader(t *testing.T) {
 	})
 	defer svc.Close()
 
-	leader, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+	leader, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	follower, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+	follower, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +276,9 @@ func TestCancelFollowerKeepsLeader(t *testing.T) {
 
 func TestDrainFinishesQueuedWork(t *testing.T) {
 	svc := New(Config{Workers: 1})
-	sts, err := svc.SubmitBatch([]RunRequest{
-		{RunSpec: fastSpec()},
-		{RunSpec: fvp.RunSpec{Workload: "mcf", WarmupInsts: 1_000, MeasureInsts: 2_000}},
-	})
+	sts, err := submit(svc,
+		RunRequest{RunSpec: fastSpec()},
+		RunRequest{RunSpec: fvp.RunSpec{Workload: "mcf", WarmupInsts: 1_000, MeasureInsts: 2_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +292,7 @@ func TestDrainFinishesQueuedWork(t *testing.T) {
 			t.Errorf("job %s state = %s after drain, want done", st.ID, final.State)
 		}
 	}
-	if _, err := svc.Submit(RunRequest{RunSpec: fastSpec()}); err != ErrClosed {
+	if _, err := submitOne(svc, RunRequest{RunSpec: fastSpec()}); err != ErrClosed {
 		t.Errorf("submit after drain: err=%v, want ErrClosed", err)
 	}
 }
@@ -282,7 +300,7 @@ func TestDrainFinishesQueuedWork(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
-	_, err := svc.Submit(RunRequest{RunSpec: fvp.RunSpec{Workload: "omnetp"}})
+	_, err := submitOne(svc, RunRequest{RunSpec: fvp.RunSpec{Workload: "omnetp"}})
 	if err == nil {
 		t.Fatal("misspelled workload must be rejected")
 	}

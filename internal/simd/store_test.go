@@ -48,11 +48,11 @@ func TestDiskRestartRedispatchesJobs(t *testing.T) {
 	specA := fastSpec()
 	specB := fastSpec()
 	specB.Predictor = fvp.PredNone
-	stA, err := svc1.Submit(RunRequest{RunSpec: specA})
+	stA, err := submitOne(svc1, RunRequest{RunSpec: specA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := svc1.Submit(RunRequest{RunSpec: specB})
+	stB, err := submitOne(svc1, RunRequest{RunSpec: specB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDiskRestartRedispatchesJobs(t *testing.T) {
 		t.Errorf("List(done) after recovery = %+v", listed)
 	}
 	// Resubmitting either spec now hits the durable cache.
-	again, err := svc2.Submit(RunRequest{RunSpec: specA})
+	again, err := submitOne(svc2, RunRequest{RunSpec: specA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestTraceSkippedForConcurrentShapes(t *testing.T) {
 	regions.Regions = 2
 	sampled.MeasureInsts, sampled.SampleUnits, sampled.SampleUnitInsts = 20_000, 2, 1_000
 	for _, spec := range []fvp.RunSpec{regions, sampled} {
-		st, err := svc.Submit(RunRequest{RunSpec: spec, Trace: true})
+		st, err := submitOne(svc, RunRequest{RunSpec: spec, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 
 	svc1 := New(Config{Workers: 1, Stores: openDisk(t, dir), Run: stub})
-	first, err := svc1.Submit(RunRequest{RunSpec: fastSpec()})
+	first, err := submitOne(svc1, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 
 	svc2 := New(Config{Workers: 1, Stores: openDisk(t, dir), Run: stub})
 	defer svc2.Close()
-	second, err := svc2.Submit(RunRequest{RunSpec: fastSpec()})
+	second, err := submitOne(svc2, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 func TestMemoryBackendMatchesDefault(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
-	st, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+	st, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestMemoryBackendMatchesDefault(t *testing.T) {
 func TestTraceArtifact(t *testing.T) {
 	svc := New(Config{Workers: 1, Stores: openDisk(t, t.TempDir())})
 	defer svc.Close()
-	st, err := svc.Submit(RunRequest{RunSpec: fastSpec(), Trace: true})
+	st, err := submitOne(svc, RunRequest{RunSpec: fastSpec(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestTraceArtifact(t *testing.T) {
 	// An untraced job on a different spec has no artifact.
 	other := fastSpec()
 	other.Predictor = fvp.PredNone
-	st2, err := svc.Submit(RunRequest{RunSpec: other})
+	st2, err := submitOne(svc, RunRequest{RunSpec: other})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestTraceArtifact(t *testing.T) {
 func TestListFiltersByState(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()
-	st, err := svc.Submit(RunRequest{RunSpec: fastSpec()})
+	st, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDiskConcurrentRunsDurable(t *testing.T) {
 	specs := []fvp.RunSpec{fastSpec(), specB}
 	var ids []string
 	for _, spec := range specs {
-		st, err := svc1.Submit(RunRequest{RunSpec: spec})
+		st, err := submitOne(svc1, RunRequest{RunSpec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +419,7 @@ func TestDiskConcurrentRunsDurable(t *testing.T) {
 	}})
 	defer svc2.Close()
 	for _, spec := range specs {
-		st, err := svc2.Submit(RunRequest{RunSpec: spec})
+		st, err := submitOne(svc2, RunRequest{RunSpec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -293,7 +293,7 @@ func TestJobIDNodePrefix(t *testing.T) {
 	}
 	svc := New(Config{Workers: 1, NodeID: "n1.rack2", Run: stub})
 	defer svc.Close()
-	st, err := svc.Submit(RunRequest{RunSpec: fvp.RunSpec{
+	st, err := submitOne(svc, RunRequest{RunSpec: fvp.RunSpec{
 		Workload: "omnetpp", Predictor: "fvp", WarmupInsts: 100, MeasureInsts: 1000,
 	}})
 	if err != nil {
@@ -341,10 +341,10 @@ func TestQuotaRefillAdmitsAgain(t *testing.T) {
 			Workload: "omnetpp", Predictor: "fvp", WarmupInsts: 100, MeasureInsts: insts,
 		}}
 	}
-	if _, err := svc.Submit(req(1000)); err != nil {
+	if _, err := submitOne(svc, req(1000)); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	_, err := svc.Submit(req(2000))
+	_, err := submitOne(svc, req(2000))
 	qe, ok := err.(*QuotaError)
 	if !ok {
 		t.Fatalf("second submit: %v, want *QuotaError", err)
@@ -357,7 +357,7 @@ func TestQuotaRefillAdmitsAgain(t *testing.T) {
 	now = now.Add(qe.RetryAfter + time.Second)
 	clockMu.Unlock()
 	waitFor(t, func() bool { return svc.Snapshot().JobsDone >= 1 })
-	if _, err := svc.Submit(req(2000)); err != nil {
+	if _, err := submitOne(svc, req(2000)); err != nil {
 		t.Fatalf("submit after refill: %v", err)
 	}
 }

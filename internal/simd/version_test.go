@@ -127,11 +127,11 @@ func TestProgressReporting(t *testing.T) {
 	// Long enough that we can observe it mid-flight; the measured region
 	// dominates so the sampler (attached post-warmup) has data to report.
 	spec := fvp.RunSpec{Workload: "omnetpp", Predictor: fvp.PredFVP, WarmupInsts: 1_000, MeasureInsts: 60_000_000}
-	st, err := svc.Submit(RunRequest{RunSpec: spec})
+	st, err := submitOne(svc, RunRequest{RunSpec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := svc.Submit(RunRequest{RunSpec: spec})
+	follower, err := submitOne(svc, RunRequest{RunSpec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
