@@ -16,7 +16,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"sort"
 	"testing"
+	"time"
 
 	"fvp"
 	"fvp/internal/branch"
@@ -387,29 +390,88 @@ func (r *recordedWindow) Next(d *isa.DynInst) bool {
 	return true
 }
 
+// memBoundInstsPerOp is the chunk of BenchmarkCoreCycleLoopMemBound:
+// mcf-class IPC is ~0.08, so 20k instructions is ~250k simulated cycles.
+const memBoundInstsPerOp = 20_000
+
+// newMemBoundCore builds the mcf-17 core that BenchmarkCoreCycleLoopMemBound
+// and TestSpeedFloorElision time, warms its caches and runs it one chunk
+// into steady state. disableElision selects the ticking path.
+func newMemBoundCore(disableElision bool) (*ooo.Core, ooo.RunStats) {
+	w, _ := workload.ByName("mcf-17")
+	p := w.Build()
+	cfg := ooo.Skylake()
+	cfg.DisableIdleElision = disableElision
+	c := ooo.New(cfg, core.New(core.DefaultConfig()), prog.NewExec(p), p.BuildMemory())
+	c.WarmCaches(p.WarmRanges)
+	return c, c.Run(memBoundInstsPerOp)
+}
+
 // BenchmarkCoreCycleLoopMemBound is BenchmarkCoreCycleLoop on an mcf-class
 // DRAM-bound pointer chaser — the workload category where the cycle loop
 // used to spin through hundreds of empty iterations per head-of-window
-// miss, and where idle-cycle elision therefore pays most. The elided loop
-// must be ≥1.5× the inst/s of the ticking one (ooo.Config.DisableIdleElision;
-// fvpbench records both in BENCH_core.json). skip_ratio reports the
+// miss, and where idle-cycle elision therefore pays most.
+// TestSpeedFloorElision holds the elided loop to ≥1.5× the inst/s of the
+// ticking one (ooo.Config.DisableIdleElision). skip_ratio reports the
 // fraction of simulated cycles covered by clock jumps.
 func BenchmarkCoreCycleLoopMemBound(b *testing.B) {
-	const instsPerOp = 20_000 // mcf-class IPC is ~0.08: ~250k cycles per op
-	w, _ := workload.ByName("mcf-17")
-	p := w.Build()
-	c := ooo.New(ooo.Skylake(), core.New(core.DefaultConfig()), prog.NewExec(p), p.BuildMemory())
-	c.WarmCaches(p.WarmRanges)
-	st0 := c.Run(instsPerOp) // reach steady state before timing
+	c, st0 := newMemBoundCore(false)
 	st1 := st0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st1 = c.Run(uint64(i+2) * instsPerOp)
+		st1 = c.Run(uint64(i+2) * memBoundInstsPerOp)
 	}
-	b.ReportMetric(float64(instsPerOp*b.N)/b.Elapsed().Seconds(), "inst/s")
+	b.ReportMetric(float64(memBoundInstsPerOp*b.N)/b.Elapsed().Seconds(), "inst/s")
 	if dc := st1.Cycles - st0.Cycles; dc > 0 {
 		b.ReportMetric(float64(st1.SkippedCycles-st0.SkippedCycles)/float64(dc), "skip_ratio")
+	}
+}
+
+// TestSpeedFloorElision checks idle-cycle elision's floor: on the core of
+// BenchmarkCoreCycleLoopMemBound, 100 chunks run at least 1.5× faster
+// elided than on the ticking path, in the median of 8 pairs.
+func TestSpeedFloorElision(t *testing.T) {
+	const chunks = 100
+	side := func(disableElision bool) func() time.Duration {
+		return func() time.Duration {
+			c, _ := newMemBoundCore(disableElision)
+			start := time.Now()
+			for i := 2; i < chunks+2; i++ {
+				c.Run(uint64(i) * memBoundInstsPerOp)
+			}
+			return time.Since(start)
+		}
+	}
+	speedFloor(t, 8, 1.5, side(true), side(false))
+}
+
+// speedFloor checks a speed floor when FVP_SPEED_GATE is set and skips t
+// otherwise. It times slow and fast in pairs interleaved pairs,
+// alternating which runs first, and fails t when the median of the pairs'
+// slow/fast time ratios is under floor. Each side builds its own system
+// and returns the time of its timed region.
+func speedFloor(t *testing.T, pairs int, floor float64, slow, fast func() time.Duration) {
+	t.Helper()
+	if os.Getenv("FVP_SPEED_GATE") == "" {
+		t.Skip("set FVP_SPEED_GATE=1 to check the speed floor")
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var s, f time.Duration
+		if i%2 == 0 {
+			f, s = fast(), slow()
+		} else {
+			s, f = slow(), fast()
+		}
+		ratios[i] = s.Seconds() / f.Seconds()
+		t.Logf("pair %d: %v vs %v: %.2fx", i+1, s.Round(time.Millisecond), f.Round(time.Millisecond), ratios[i])
+	}
+	sort.Float64s(ratios)
+	med := (ratios[(pairs-1)/2] + ratios[pairs/2]) / 2
+	t.Logf("median %.2fx over %d pairs, floor %.1fx", med, pairs, floor)
+	if med < floor {
+		t.Errorf("median speed-up %.2fx is under the %.1fx floor", med, floor)
 	}
 }
 

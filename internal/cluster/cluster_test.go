@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +19,7 @@ import (
 	"fvp"
 	"fvp/internal/simd"
 	"fvp/internal/store"
+	"fvp/internal/store/disk"
 )
 
 func TestRingDeterministicAndCovering(t *testing.T) {
@@ -737,5 +741,112 @@ func TestInvalidBatchAdmitsNothing(t *testing.T) {
 	}
 	if n := tc.totalRuns(); n != 0 {
 		t.Errorf("%d simulations ran for a refused batch", n)
+	}
+}
+
+// TestSpeedFloorBatched checks the request plane's batching floor. 16
+// clients send 512 unique submits to a disk-backed two-node cluster
+// through the node that owns none of them, while the owner's workers are
+// gated shut. So the flood times HTTP on both nodes, the forward hop,
+// admission and the owner's fsync'd JobStore appends. With the edge
+// micro-batcher and the forward coalescer on (BatchWindow 2ms, BatchMax
+// 16) it runs at least 2× faster than per request, in the median of 8
+// pairs. Each side floods a fresh cluster.
+func TestSpeedFloorBatched(t *testing.T) {
+	flood := func(batched bool) func() time.Duration {
+		return func() (wall time.Duration) {
+			if !t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+				wall = floodSubmits(t, batched, 16, 512)
+			}) {
+				t.FailNow()
+			}
+			return wall
+		}
+	}
+	speedFloor(t, 8, 2, flood(false), flood(true))
+}
+
+// floodSubmits sends requests unique submits from clients concurrent
+// clients to a gated two-node cluster, all owned by the node they do not
+// enter at, and returns the flood's wall time.
+func floodSubmits(t *testing.T, batched bool, clients, requests int) time.Duration {
+	dir := t.TempDir()
+	tc := newTestClusterWith(t, 2, func(c *simd.Config) {
+		stores, err := disk.Open(filepath.Join(dir, c.NodeID), disk.Options{CacheEntries: requests + 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Workers, c.QueueSize, c.Stores = 1, requests+16, stores
+		if batched {
+			c.BatchWindow, c.BatchMax = 2*time.Millisecond, 16
+		}
+	}, nil)
+	tc.gate = make(chan struct{})
+	defer close(tc.gate) // release the queued jobs before the cluster closes
+	entry, owner := tc.ids[0], tc.ids[1]
+	insts := make([]int, 0, requests)
+	for v := 1_000_000; len(insts) < requests; v++ {
+		if tc.nodes[entry].Owner(simd.SpecKey(specFor(v))) == owner {
+			insts = append(insts, v)
+		}
+	}
+	tr := &http.Transport{MaxIdleConnsPerHost: clients}
+	defer tr.CloseIdleConnections()
+	hc := &http.Client{Transport: tr}
+	var next, failed atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(requests); i = next.Add(1) - 1 {
+				resp, err := hc.Post(tc.srvs[entry].URL+"/v1/runs", "application/json", strings.NewReader(specBody(insts[i], "")))
+				if err != nil {
+					failed.Add(1)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode >= 300 {
+					failed.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d submits failed", n, requests)
+	}
+	return wall
+}
+
+// speedFloor checks a speed floor when FVP_SPEED_GATE is set and skips t
+// otherwise. It times slow and fast in pairs interleaved pairs,
+// alternating which runs first, and fails t when the median of the pairs'
+// slow/fast time ratios is under floor. Each side builds its own system
+// and returns the time of its timed region.
+func speedFloor(t *testing.T, pairs int, floor float64, slow, fast func() time.Duration) {
+	t.Helper()
+	if os.Getenv("FVP_SPEED_GATE") == "" {
+		t.Skip("set FVP_SPEED_GATE=1 to check the speed floor")
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var s, f time.Duration
+		if i%2 == 0 {
+			f, s = fast(), slow()
+		} else {
+			s, f = slow(), fast()
+		}
+		ratios[i] = s.Seconds() / f.Seconds()
+		t.Logf("pair %d: %v vs %v: %.2fx", i+1, s.Round(time.Millisecond), f.Round(time.Millisecond), ratios[i])
+	}
+	sort.Float64s(ratios)
+	med := (ratios[(pairs-1)/2] + ratios[pairs/2]) / 2
+	t.Logf("median %.2fx over %d pairs, floor %.1fx", med, pairs, floor)
+	if med < floor {
+		t.Errorf("median speed-up %.2fx is under the %.1fx floor", med, floor)
 	}
 }

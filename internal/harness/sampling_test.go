@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
 	"fvp/internal/ooo"
 	"fvp/internal/telemetry"
@@ -242,6 +243,25 @@ func TestSamplingFidelityGate(t *testing.T) {
 	if geo > 0.02 {
 		t.Errorf("sampling fidelity gate: geomean |dIPC| %.3f%% > 2%%", geo*100)
 	}
+}
+
+// TestSpeedFloorSampling checks the sampling floor: omnetpp's
+// 100M-instruction region after a 100k warmup runs at least 10× faster as
+// 16 sampled units of 2,000 instructions than in full detail, in the
+// median of 3 pairs.
+func TestSpeedFloorSampling(t *testing.T) {
+	w, _ := workload.ByName("omnetpp")
+	full := Options{WarmupInsts: 100_000, MeasureInsts: 100_000_000}
+	sampled := full
+	sampled.Sampling = Sampling{Units: 16, UnitInsts: 2_000, Seed: 1}
+	side := func(opt Options) func() time.Duration {
+		return func() time.Duration {
+			start := time.Now()
+			runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
+			return time.Since(start)
+		}
+	}
+	speedFloor(t, 3, 10, side(full), side(sampled))
 }
 
 // TestSamplingCICoverage checks the confidence interval is honest: over a

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"fvp/internal/ooo"
 	"fvp/internal/prog"
@@ -237,28 +240,85 @@ func TestRegionFidelityBand(t *testing.T) {
 // harness pools cores across runs.
 const benchWarmInsts = 100_000
 
-func benchWarmup(b *testing.B, warm func(c *ooo.Core)) {
-	b.Helper()
+var (
+	warmFunctional = func(c *ooo.Core) { c.WarmFunctional(benchWarmInsts) }
+	warmDetailed   = func(c *ooo.Core) { c.Run(benchWarmInsts) }
+)
+
+// newWarmupCore builds the omnetpp core with no value predictor that the
+// warmup benchmarks and TestSpeedFloorFastForward time, and a reset that
+// gives it a fresh executor and memory image.
+func newWarmupCore() (*ooo.Core, func()) {
 	w, _ := workload.ByName("omnetpp")
 	p := w.Build()
-	ex := prog.NewExec(p)
-	c := ooo.New(ooo.Skylake(), vp.None{}, ex, p.BuildMemory())
+	c := ooo.New(ooo.Skylake(), vp.None{}, prog.NewExec(p), p.BuildMemory())
+	return c, func() { c.Reset(vp.None{}, prog.NewExec(p), p.BuildMemory()) }
+}
+
+func benchWarmup(b *testing.B, warm func(c *ooo.Core)) {
+	b.Helper()
+	c, reset := newWarmupCore()
 	b.SetBytes(benchWarmInsts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ex = prog.NewExec(p)
-		c.Reset(vp.None{}, ex, p.BuildMemory())
+		reset()
 		b.StartTimer()
 		warm(c)
 	}
 }
 
-func BenchmarkWarmupFunctional(b *testing.B) {
-	benchWarmup(b, func(c *ooo.Core) { c.WarmFunctional(benchWarmInsts) })
+func BenchmarkWarmupFunctional(b *testing.B) { benchWarmup(b, warmFunctional) }
+
+func BenchmarkWarmupDetailed(b *testing.B) { benchWarmup(b, warmDetailed) }
+
+// TestSpeedFloorFastForward checks the fast-forward floor: on the core of
+// the warmup benchmarks, five 100k-instruction warmups run at least 5×
+// faster functionally than in detail, in the median of 8 pairs.
+func TestSpeedFloorFastForward(t *testing.T) {
+	const warmups = 5
+	side := func(warm func(c *ooo.Core)) func() time.Duration {
+		return func() time.Duration {
+			c, reset := newWarmupCore()
+			var d time.Duration
+			for i := 0; i < warmups; i++ {
+				reset()
+				start := time.Now()
+				warm(c)
+				d += time.Since(start)
+			}
+			return d
+		}
+	}
+	speedFloor(t, 8, 5, side(warmDetailed), side(warmFunctional))
 }
 
-func BenchmarkWarmupDetailed(b *testing.B) {
-	benchWarmup(b, func(c *ooo.Core) { c.Run(benchWarmInsts) })
+// speedFloor checks a speed floor when FVP_SPEED_GATE is set and skips t
+// otherwise. It times slow and fast in pairs interleaved pairs,
+// alternating which runs first, and fails t when the median of the pairs'
+// slow/fast time ratios is under floor. Each side builds its own system
+// and returns the time of its timed region.
+func speedFloor(t *testing.T, pairs int, floor float64, slow, fast func() time.Duration) {
+	t.Helper()
+	if os.Getenv("FVP_SPEED_GATE") == "" {
+		t.Skip("set FVP_SPEED_GATE=1 to check the speed floor")
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var s, f time.Duration
+		if i%2 == 0 {
+			f, s = fast(), slow()
+		} else {
+			s, f = slow(), fast()
+		}
+		ratios[i] = s.Seconds() / f.Seconds()
+		t.Logf("pair %d: %v vs %v: %.2fx", i+1, s.Round(time.Millisecond), f.Round(time.Millisecond), ratios[i])
+	}
+	sort.Float64s(ratios)
+	med := (ratios[(pairs-1)/2] + ratios[pairs/2]) / 2
+	t.Logf("median %.2fx over %d pairs, floor %.1fx", med, pairs, floor)
+	if med < floor {
+		t.Errorf("median speed-up %.2fx is under the %.1fx floor", med, floor)
+	}
 }
