@@ -511,6 +511,30 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
+// BenchmarkSampledPairs runs the bench sampled-sweep's spec shape (a
+// 2M-instruction region sampled by 16 units of 2,000 instructions, each
+// warmed over 50k, seed 1) for baseline and FVP on three golden
+// workloads through fvp.RunContext. One op is the six runs. Each region's
+// first run scans it to the units' checkpoints; every later run, the FVP
+// arm of the first pass included, restores them from the scan memo.
+func BenchmarkSampledPairs(b *testing.B) {
+	var specs []fvp.RunSpec
+	for _, w := range []string{"omnetpp", "mcf", "cassandra"} {
+		for _, p := range []fvp.Predictor{fvp.PredNone, fvp.PredFVP} {
+			specs = append(specs, fvp.RunSpec{Workload: w, Machine: fvp.Skylake, Predictor: p,
+				MeasureInsts: 2_000_000, SampleUnits: 16, SampleUnitInsts: 2000,
+				SampleWarmupInsts: 50_000, SampleSeed: 1, RegionWorkers: 1})
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			if _, err := fvp.RunContext(context.Background(), s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFunctionalExecutor measures the trace generator alone.
 func BenchmarkFunctionalExecutor(b *testing.B) {
 	w, _ := workload.ByName("cassandra")

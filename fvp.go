@@ -495,9 +495,12 @@ type Metrics struct {
 	// or "functional").
 	WarmupMode string `json:"warmup_mode,omitempty"`
 	// FFInsts counts functionally fast-forwarded instructions (functional
-	// warmup plus the checkpoint scan of a region-parallel run) and
-	// FFInstsPerSec their wall-clock throughput — the simulator-speed
+	// warmup plus the checkpoint scan of a region-parallel or sampled run)
+	// and FFInstsPerSec their wall-clock throughput — the simulator-speed
 	// meters of the fast-forward path. Both 0 for purely detailed runs.
+	// The scan is memoized per process: a run that reuses an earlier
+	// run's scan of the same regions counts its instructions in FFInsts,
+	// but not the time that scan took, so its FFInstsPerSec reads high.
 	FFInsts       uint64  `json:"ff_insts,omitempty"`
 	FFInstsPerSec float64 `json:"ff_insts_per_sec,omitempty"`
 	// Sampling is the statistical summary of a sampled run (nil for

@@ -127,10 +127,12 @@ type Result struct {
 	// FFInsts counts instructions that were fast-forwarded functionally:
 	// the checkpoint scan up to each unit's warmup start, plus the
 	// functional bulk of each unit's warmup. Zero for a plain detailed
-	// run, which checkpoints at instruction 0 and scans nothing.
+	// run, which checkpoints at instruction 0 and scans nothing. A run
+	// whose checkpoints come from the scan memo counts the reused scan.
 	FFInsts uint64
-	// FFSeconds is the wall-clock spent in that scan and those warmups
-	// (building the program image is not counted). Being a wall-time
+	// FFSeconds is the wall-clock this run spent in that scan and those
+	// warmups (building the program image is not counted): on a scan
+	// memo hit, only the wait for the memoized scan. Being a wall-time
 	// measurement it is excluded from determinism comparisons.
 	FFSeconds float64
 	// Regions holds the per-region results of a region-parallel run
@@ -320,7 +322,7 @@ func RunOneCtx(ctx context.Context, w workload.Workload, coreCfg ooo.Config, pf 
 		return runSampledCtx(ctx, w, p, coreCfg, pf, opt)
 	}
 	plan := regionPlan(opt)
-	rd, err := runUnits(ctx, p, coreCfg, pf, opt, plan)
+	rd, err := runUnits(ctx, w, p, coreCfg, pf, opt, plan)
 	if err != nil {
 		return Result{}, err
 	}

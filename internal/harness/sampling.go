@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"time"
 
 	"fvp/internal/ooo"
 	"fvp/internal/prog"
@@ -183,7 +182,7 @@ func runSampledCtx(ctx context.Context, w workload.Workload, p *prog.Program, co
 	round := func(plan sample.Plan) ([]float64, error) {
 		// Sampled units always warm through the functional taps, whatever
 		// the run-level warmup mode; the Result records the path that ran.
-		rd, err := runUnits(ctx, p, coreCfg, pf, opt, unitPlan{
+		rd, err := runUnits(ctx, w, p, coreCfg, pf, opt, unitPlan{
 			units: plan.Units, warmup: sp.warmupInsts(), mode: WarmupFunctional,
 		})
 		if err != nil {
@@ -235,36 +234,35 @@ func runSampledCtx(ctx context.Context, w workload.Workload, p *prog.Program, co
 }
 
 // runUnits is the checkpointed-unit executor every run goes through: one
-// architectural pass over the program checkpoints each unit's warmup
-// start; each unit is then restored, warmed and detail-simulated on its
-// own core, up to RegionWorkers at once, and the per-unit stats are
-// stitched by field-wise addition. Stitching is exact for additive
+// architectural pass over the program, shared through the scan memo,
+// checkpoints each unit's warmup start; each unit is then restored,
+// warmed and detail-simulated on its own core, up to RegionWorkers at
+// once, and the per-unit stats are stitched by field-wise addition. Stitching is exact for additive
 // counters, so the aggregate IPC is the instruction-weighted mean of the
 // unit IPCs.
-func runUnits(ctx context.Context, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options, plan unitPlan) (unitRound, error) {
+func runUnits(ctx context.Context, w workload.Workload, p *prog.Program, coreCfg ooo.Config, pf PredFactory, opt Options, plan unitPlan) (unitRound, error) {
 	// Checkpoint scan: pure architectural execution visits each unit's
 	// warmup start in ascending order. Unit i's measured slice begins at
 	// absolute position WarmupInsts + Start_i; its warmup begins
 	// plan.warmup instructions earlier, clamped at the stream start (only
 	// reachable when the run-level warmup region is shorter than the unit
-	// warmup). Only the stepping is timed as fast-forward.
-	ex := prog.NewExec(p)
-	cps := make([]*prog.Checkpoint, len(plan.units))
+	// warmup). The scan is memoized per program and positions, so every
+	// arm over the same units shares one; its instructions count as
+	// fast-forward in every run that uses it.
+	at := make([]uint64, len(plan.units))
 	warms := make([]uint64, len(plan.units))
-	var scan time.Duration
 	for i, u := range plan.units {
 		measureStart := opt.WarmupInsts + u.Start
 		warms[i] = min(plan.warmup, measureStart)
-		if at := measureStart - warms[i]; at > ex.Seq() {
-			t0 := time.Now()
-			ex.Run(at-ex.Seq(), nil)
-			scan += time.Since(t0)
-		}
-		cps[i] = ex.Checkpoint()
+		at[i] = measureStart - warms[i]
+	}
+	cps, scanTime, err := checkpointsAt(ctx, w.Name, p, at)
+	if err != nil {
+		return unitRound{}, err
 	}
 	rd := unitRound{
 		units: make([]UnitResult, len(plan.units)),
-		total: segment{ffInsts: ex.Seq(), ffSeconds: scan.Seconds()},
+		total: segment{ffInsts: cps[len(cps)-1].Seq(), ffSeconds: scanTime.Seconds()},
 		pred:  "baseline",
 	}
 

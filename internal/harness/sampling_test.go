@@ -138,10 +138,12 @@ func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 		WarmupInsts: 5_000, MeasureInsts: 120_000,
 		Sampling: Sampling{Units: 6, UnitInsts: 1_000, WarmupInsts: 2_000, Seed: 3},
 	}
+	// Each run scans afresh: TestScanMemoMatchesFresh covers memo hits.
 	var ref Result
 	for i, workers := range []int{1, 2, 4} {
 		opt := base
 		opt.RegionWorkers = workers
+		resetScanMemo()
 		got := stripWallClock(runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt))
 		if i == 0 {
 			ref = got
@@ -152,6 +154,7 @@ func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// And the same run twice must reproduce bit-for-bit.
+	resetScanMemo()
 	again := stripWallClock(runOne(t, w, ooo.Skylake(), Factory(SpecFVP), base))
 	base.RegionWorkers = 1
 	if !reflect.DeepEqual(again, ref) {
@@ -248,7 +251,8 @@ func TestSamplingFidelityGate(t *testing.T) {
 // TestSpeedFloorSampling checks the sampling floor: omnetpp's
 // 100M-instruction region after a 100k warmup runs at least 10× faster as
 // 16 sampled units of 2,000 instructions than in full detail, in the
-// median of 3 pairs.
+// median of 3 pairs. Each side starts on an empty scan memo, so the
+// sampled side pays the checkpoint scan a first run of the plan pays.
 func TestSpeedFloorSampling(t *testing.T) {
 	w, _ := workload.ByName("omnetpp")
 	full := Options{WarmupInsts: 100_000, MeasureInsts: 100_000_000}
@@ -256,6 +260,7 @@ func TestSpeedFloorSampling(t *testing.T) {
 	sampled.Sampling = Sampling{Units: 16, UnitInsts: 2_000, Seed: 1}
 	side := func(opt Options) func() time.Duration {
 		return func() time.Duration {
+			resetScanMemo()
 			start := time.Now()
 			runOne(t, w, ooo.Skylake(), Factory(SpecFVP), opt)
 			return time.Since(start)

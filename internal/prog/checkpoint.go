@@ -68,3 +68,15 @@ func (cp *Checkpoint) Restore() *Exec {
 // Memory returns a copy-on-write clone of the checkpointed memory image —
 // the initial retired-memory shadow for a core simulating this region.
 func (cp *Checkpoint) Memory() *Memory { return cp.mem.Clone() }
+
+// PageBytes returns the bytes of the distinct memory pages that the
+// checkpoints' images reference: what holding on to them keeps alive.
+func PageBytes(cps []*Checkpoint) int64 {
+	seen := make(map[*memPage]struct{})
+	for _, cp := range cps {
+		for _, p := range cp.mem.pages {
+			seen[p] = struct{}{}
+		}
+	}
+	return int64(len(seen)) << pageShift
+}

@@ -215,6 +215,10 @@ type Service struct {
 	// checked holds the spec keys whose stored result this process wrote
 	// or has decoded once (see cachedResultLocked).
 	checked map[string]struct{}
+	// traced holds the spec keys that may have a published trace: those
+	// listed in the BlobStore at New and those whose trace this process
+	// published. Only these keys ask the BlobStore (see artifactsLocked).
+	traced map[string]struct{}
 	// observeKey, if set, sees the spec key of every request that reaches
 	// Submit (see ObserveKeys).
 	observeKey func(key string)
@@ -257,10 +261,16 @@ func New(cfg Config) *Service {
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
 		checked:  make(map[string]struct{}),
+		traced:   make(map[string]struct{}),
 		baseCtx:  ctx,
 		stop:     cancel,
 	}
 	s.cond = sync.NewCond(&s.mu)
+	for _, k := range s.st.Blobs.List() {
+		if key, ok := strings.CutPrefix(k, traceKey("")); ok {
+			s.traced[key] = struct{}{}
+		}
+	}
 	s.reqHist = telemetry.NewVec(telemetry.NewLatency)
 	if cfg.BatchWindow > 0 {
 		s.batchSizes = telemetry.NewSizes()
@@ -597,11 +607,19 @@ func (s *Service) markCheckedLocked(key string) {
 	s.checked[key] = struct{}{}
 }
 
-// artifactsLocked lists the blob keys published for a spec key.
+// artifactsLocked lists the blob keys published for a spec key. Only a
+// key in traced asks the BlobStore, whose Has may be a syscall, so a
+// cache hit on an untraced spec costs none. A store may drop a blob (the
+// memory one evicts), so Has stays the final word, and a key whose trace
+// is gone leaves traced.
 func (s *Service) artifactsLocked(key string) []string {
+	if _, ok := s.traced[key]; !ok {
+		return nil
+	}
 	if s.st.Blobs.Has(traceKey(key)) {
 		return []string{traceKey(key)}
 	}
+	delete(s.traced, key)
 	return nil
 }
 
@@ -658,6 +676,7 @@ func (s *Service) worker() {
 		}
 		elapsed := time.Since(start)
 
+		traced := false
 		if err == nil && tracer != nil {
 			// Publish the trace before the result: once the job reads done,
 			// its artifact list is stable.
@@ -666,6 +685,8 @@ func (s *Service) worker() {
 				s.storeErrs.Add(1)
 			} else if perr := s.st.Blobs.Put(traceKey(j.key), buf.Bytes()); perr != nil {
 				s.storeErrs.Add(1)
+			} else {
+				traced = true
 			}
 		}
 
@@ -690,6 +711,9 @@ func (s *Service) worker() {
 		s.mu.Lock()
 		if stored { // bytes this process encoded need no decode when served
 			s.markCheckedLocked(j.key)
+		}
+		if traced {
+			s.traced[j.key] = struct{}{}
 		}
 		s.met.running--
 		if err == nil {

@@ -277,6 +277,71 @@ func TestTraceArtifact(t *testing.T) {
 	}
 }
 
+// countingBlobs counts the Has calls a BlobStore answers.
+type countingBlobs struct {
+	store.BlobStore
+	has atomic.Uint64
+}
+
+func (b *countingBlobs) Has(key string) bool {
+	b.has.Add(1)
+	return b.BlobStore.Has(key)
+}
+
+// Cache hits on a spec that was never traced ask the BlobStore nothing:
+// with the disk backend each Has is a stat under the service lock.
+func TestCacheHitsSkipBlobLookup(t *testing.T) {
+	stores := openDisk(t, t.TempDir())
+	blobs := &countingBlobs{BlobStore: stores.Blobs}
+	stores.Blobs = blobs
+	stub := func(ctx context.Context, spec fvp.RunSpec) (fvp.Metrics, error) {
+		return fvp.Metrics{IPC: 1.25, Cycles: 160, Insts: 200}, nil
+	}
+	svc := New(Config{Workers: 1, Stores: stores, Run: stub})
+	defer svc.Close()
+	for i := 0; i < 5; i++ {
+		st, err := submitOne(svc, RunRequest{RunSpec: fastSpec()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := svc.Wait(context.Background(), st.ID)
+		if err != nil || final.State != StateDone || len(final.Artifacts) != 0 {
+			t.Fatalf("submit %d: %+v, %v", i, final, err)
+		}
+		if i > 0 && !final.Cached {
+			t.Fatalf("submit %d was not a cache hit", i)
+		}
+	}
+	if n := blobs.has.Load(); n != 0 {
+		t.Errorf("an untraced spec's run and 4 hits asked the BlobStore %d times, want 0", n)
+	}
+}
+
+// A trace published before a restart is listed on the cache hits of the
+// next process.
+func TestTraceListedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	svc1 := New(Config{Workers: 1, Stores: openDisk(t, dir)})
+	st, err := submitOne(svc1, RunRequest{RunSpec: fastSpec(), Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := svc1.Wait(context.Background(), st.ID); err != nil || len(final.Artifacts) != 1 {
+		t.Fatalf("traced run: %+v, %v", final, err)
+	}
+	svc1.Close()
+
+	svc2 := New(Config{Workers: 1, Stores: openDisk(t, dir)})
+	defer svc2.Close()
+	hit, err := submitOne(svc2, RunRequest{RunSpec: fastSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "trace-" + specKey(fastSpec()); !hit.Cached || len(hit.Artifacts) != 1 || hit.Artifacts[0] != want {
+		t.Fatalf("post-restart hit = %+v, want a cached job listing %s", hit, want)
+	}
+}
+
 // TestListFiltersByState covers the listing service API.
 func TestListFiltersByState(t *testing.T) {
 	svc := New(Config{Workers: 1})

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fvp/internal/store"
@@ -58,6 +59,39 @@ func TestResultStoreEvictionSurvivesReopen(t *testing.T) {
 	}
 	if !s2.Has("a") || !s2.Has("c") {
 		t.Error("live entries a and c must survive reopen")
+	}
+}
+
+// An evicting put logs itself and its deletes with one fsync, and the
+// log still replays to the same live set in the same LRU order.
+func TestResultStoreEvictingPutOneSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	s, err := OpenResultStore(path, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const puts = 10
+	for i := 0; i < puts; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if s.w.syncs != uint64(i+1) {
+			t.Fatalf("after put %d: %d syncs, want %d", i, s.w.syncs, i+1)
+		}
+	}
+	if got, want := s.Stats().Appends, uint64(puts+puts-3); got != want {
+		t.Errorf("appends = %d, want %d (every put plus every eviction)", got, want)
+	}
+	live := s.idx.Snapshot()
+	s.Close()
+
+	s2, err := OpenResultStore(path, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.idx.Snapshot(); !reflect.DeepEqual(got, live) {
+		t.Errorf("reopened live set = %v, want %v", got, live)
 	}
 }
 

@@ -79,27 +79,30 @@ func (s *ResultStore) Has(key string) bool {
 	return s.idx.Has(key)
 }
 
+// Put logs the put and the deletes of the entries it evicts as one
+// batch, so an evicting put costs one fsync. If the batch fails, the key
+// leaves the index too: the index then holds nothing the log may lack.
 func (s *ResultStore) Put(key string, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	payload, err := json.Marshal(resultLogRec{T: "put", Key: key, Val: value})
+	put, err := json.Marshal(resultLogRec{T: "put", Key: key, Val: value})
 	if err != nil {
 		return err
 	}
-	if err := s.w.append(payload); err != nil {
-		return err
-	}
-	s.dirty++
+	records := [][]byte{put}
 	for _, evicted := range s.idx.Insert(key, value) {
 		del, err := json.Marshal(resultLogRec{T: "del", Key: evicted})
 		if err != nil {
+			s.idx.Delete(key)
 			return err
 		}
-		if err := s.w.append(del); err != nil {
-			return err
-		}
-		s.dirty++
+		records = append(records, del)
 	}
+	if err := s.w.appendAll(records); err != nil {
+		s.idx.Delete(key)
+		return err
+	}
+	s.dirty += len(records)
 	return s.maybeCompactLocked()
 }
 

@@ -43,9 +43,11 @@ type wal struct {
 	f    *os.File
 	// size is the current valid length of the file (frames only).
 	size int64
-	// appends and compactions feed store.Stats.
+	// appends and compactions feed store.Stats; syncs counts the fsyncs
+	// appends made (one per appendAll, whatever its record count).
 	appends     uint64
 	compactions uint64
+	syncs       uint64
 }
 
 // openWAL opens (creating if absent) the log at path and returns it with
@@ -143,6 +145,7 @@ func (w *wal) appendAll(payloads [][]byte) error {
 	if _, err := w.f.Write(buf); err != nil {
 		return err
 	}
+	w.syncs++
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
