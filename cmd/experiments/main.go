@@ -6,15 +6,22 @@
 //	experiments -all                # everything (slow)
 //	experiments -list               # show available artifacts
 //	experiments -id fig10 -insts 500000 -warmup 200000
+//	experiments -csv fig8.csv -sample-units 16
+//
+// A set flag that the chosen mode does not read is refused: the -sample-*
+// flags go with -csv only, -list takes no other flag, and -csv, -all and
+// -id exclude one another.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
+	"slices"
 	"syscall"
 
 	"fvp"
@@ -57,32 +64,83 @@ func writeSuiteCSV(ctx context.Context, path string, machine fvp.Machine, warmup
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the command line args, writing reports to stdout. It
+// returns every failure, so the CPU profile is complete before the process
+// exits, also when a run fails or is interrupted.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		id     = flag.String("id", "", "experiment id (fig6, table1, epoch, ...)")
-		all    = flag.Bool("all", false, "run every experiment")
-		list   = flag.Bool("list", false, "list experiments")
-		warmup = flag.Uint64("warmup", 0, "warmup instructions per run (0 = default 100k)")
-		insts  = flag.Uint64("insts", 0, "measured instructions per run (0 = default 300k)")
-		csv    = flag.String("csv", "", "write the per-workload FVP comparison (Fig 8 data) to this CSV file")
-		sampU  = flag.Int("sample-units", 0, "with -csv: estimate each run from this many detailed sample units (0 = full detail)")
-		sampCI = flag.Float64("sample-ci", 0, "with -csv: target relative 95% IPC CI half-width, growing units until met (0 = off)")
-		sampS  = flag.Uint64("sample-seed", 0, "with -csv: sampling phase seed")
-		prof   = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+		id     = fs.String("id", "", "experiment id (fig6, table1, epoch, ...)")
+		all    = fs.Bool("all", false, "run every experiment")
+		list   = fs.Bool("list", false, "list experiments")
+		warmup = fs.Uint64("warmup", 0, "warmup instructions per run (0 = default 100k)")
+		insts  = fs.Uint64("insts", 0, "measured instructions per run (0 = default 300k)")
+		csv    = fs.String("csv", "", "write the per-workload FVP comparison (Fig 8 data) to this CSV file")
+		sampU  = fs.Int("sample-units", 0, "with -csv: estimate each run from this many detailed sample units (0 = full detail)")
+		sampCI = fs.Float64("sample-ci", 0, "with -csv: target relative 95% IPC CI half-width, growing units until met (0 = off)")
+		sampS  = fs.Uint64("sample-seed", 0, "with -csv: sampling phase seed")
+		prof   = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs (with -id, -all or -csv) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad command line exits here
+
+	// The first of -csv, -list and -id/-all that is given picks the mode,
+	// and reads names the flags it reads. With none of them the command
+	// lists and reads nothing.
+	var mode string
+	var reads []string
+	switch {
+	case *csv != "":
+		mode, reads = "csv", []string{"csv", "warmup", "insts", "sample-units", "sample-ci", "sample-seed", "cpuprofile"}
+	case *list:
+		mode, reads = "list", []string{"list"}
+	case *all:
+		mode, reads = "all", []string{"all", "warmup", "insts", "cpuprofile"}
+	case *id != "":
+		mode, reads = "id", []string{"id", "warmup", "insts", "cpuprofile"}
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil || slices.Contains(reads, f.Name) {
+			return
+		}
+		if mode == "" {
+			err = fmt.Errorf("-%s is not supported without -id, -all or -csv", f.Name)
+		} else {
+			err = fmt.Errorf("-%s is not supported with -%s", f.Name, mode)
+		}
+	})
+	if err != nil {
+		return err
+	}
+
+	if mode == "list" || mode == "" {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, e := range fvp.Experiments() {
+			fmt.Fprintf(stdout, "  %-14s %s\n", e.ID, e.Title)
+		}
+		return nil
+	}
 
 	if *prof != "" {
-		f, err := os.Create(*prof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		var f *os.File
+		if f, err = os.Create(*prof); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		if err = pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 
 	// Ctrl-C stops the in-flight simulations cooperatively instead of
@@ -90,23 +148,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *csv != "" {
+	if mode == "csv" {
 		if err := writeSuiteCSV(ctx, *csv, fvp.Skylake, *warmup, *insts, *sampU, *sampCI, *sampS); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println("wrote", *csv)
-		return
+		fmt.Fprintln(stdout, "wrote", *csv)
+		return nil
 	}
-
-	if *list || (!*all && *id == "") {
-		fmt.Println("experiments:")
-		for _, e := range fvp.Experiments() {
-			fmt.Printf("  %-14s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-
 	ids := []string{*id}
 	if *all {
 		ids = nil
@@ -114,8 +162,5 @@ func main() {
 			ids = append(ids, e.ID)
 		}
 	}
-	if err := fvp.RunExperiments(ctx, ids, os.Stdout, *warmup, *insts); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+	return fvp.RunExperiments(ctx, ids, stdout, *warmup, *insts)
 }

@@ -17,9 +17,8 @@
 //
 // With -server the simulation is submitted to a running fvpd daemon
 // (sharing its result cache) instead of executing locally. With -json the
-// result is emitted as one machine-readable report row (the same schema
-// the experiment drivers write); without -compare the baseline fields are
-// zero.
+// result is emitted as one machine-readable report row, an fvp.ReportRecord;
+// without -compare the baseline fields are zero.
 //
 // With -trace the run records per-instruction pipeline timelines for the
 // first -trace-insts instructions of the measured region and writes

@@ -345,7 +345,7 @@ func runEpoch(r *Runner, out io.Writer) error {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "epoch\tIPC gain")
 	epochs := []uint64{25_000, 100_000, 400_000, 1_600_000, 6_400_000}
-	for i, spec := range r.EpochArms(ooo.Skylake(), epochs) {
+	for i, spec := range r.epochArms(ooo.Skylake(), epochs) {
 		pairs := r.Compare(ooo.Skylake(), spec)
 		fmt.Fprintf(w, "%d\t%s\n", epochs[i], pct(Geomean(pairs)))
 	}
@@ -353,13 +353,13 @@ func runEpoch(r *Runner, out io.Writer) error {
 	return nil
 }
 
-// EpochArms returns SpecFVP with each criticality epoch, for runs on cfg.
+// epochArms returns SpecFVP with each criticality epoch, for runs on cfg.
 // FVP counts an epoch from its own first retirement, so an epoch longer
 // than any retirement count one predictor instance reaches never fires,
 // and the rows of all such epochs are one simulation. They share one arm,
 // the default arm when its own epoch cannot fire either, so the runner
 // memoizes one suite for them.
-func (r *Runner) EpochArms(cfg ooo.Config, epochs []uint64) []Spec {
+func (r *Runner) epochArms(cfg ooo.Config, epochs []uint64) []Spec {
 	// A run reaches at most warmup plus measurement retirements, plus less
 	// than one retire group of overshoot for each of its two detailed
 	// RunCtx calls (the warmup or its detailed tail, then the measurement);

@@ -161,7 +161,7 @@ func TestEpochArmsShareIdleEpochs(t *testing.T) {
 		{Options{WarmupInsts: 20_000, MeasureInsts: 60_000, Sampling: Sampling{Units: 16}}, ooo.Skylake(), epochs},
 	} {
 		r := NewRunnerCtx(context.Background(), tc.opt)
-		got := r.EpochArms(tc.cfg, epochs)
+		got := r.epochArms(tc.cfg, epochs)
 		for i, epoch := range tc.want {
 			want := SpecFVP
 			want.FVP.Epoch = epoch
